@@ -149,8 +149,7 @@ int main(int argc, char** argv) {
                    exp::fmt(s.min() * scale, 3),
                    exp::fmt(s.max() * scale, 3)});
   };
-  std::cout << "algorithm: " << algorithm->name() << " (threads "
-            << algorithm->threads() << "), workers "
+  std::cout << "algorithm: " << algorithm->name() << ", workers "
             << cfg.num_workers << ", R " << cfg.replication_rate << ", SF "
             << cfg.scaling_factor << ", " << cfg.num_transactions
             << " transactions, " << cfg.repetitions << " repetitions"

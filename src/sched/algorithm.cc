@@ -11,9 +11,8 @@ using search::Assignment;
 using search::PartialSchedule;
 
 TreeSearchAlgorithm::TreeSearchAlgorithm(std::string name,
-                                         search::SearchConfig config,
-                                         std::uint32_t threads)
-    : name_(std::move(name)), engine_(config, threads) {}
+                                         search::SearchConfig config)
+    : name_(std::move(name)), engine_(config) {}
 
 SearchResult TreeSearchAlgorithm::schedule_phase(
     const std::vector<Task>& batch,

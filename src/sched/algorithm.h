@@ -22,7 +22,6 @@
 #include "common/time.h"
 #include "machine/interconnect.h"
 #include "search/engine.h"
-#include "search/parallel_engine.h"
 #include "tasks/task.h"
 
 namespace rtds::sched {
@@ -52,21 +51,16 @@ class PhaseAlgorithm {
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Worker threads the algorithm uses per phase. 1 for every sequential
-  /// algorithm; parallel tree search reports its shard count. Surfaced in
-  /// RunMetrics / the trace CSV so experiment rows record their compute
-  /// shape.
+  /// Worker threads the algorithm uses per phase: 1 for every algorithm.
+  /// Kept virtual only because the frozen benchmark decorator in
+  /// perfbench/bench/probes.h overrides it; nothing else reads it.
   [[nodiscard]] virtual std::uint32_t threads() const { return 1; }
 };
 
 /// Tree-search scheduler (RT-SADS / D-COLS, per the SearchConfig).
-/// `threads > 1` runs each phase on the parallel sharded engine — results
-/// stay bit-identical to the sequential engine for every budget, so the
-/// thread count is a pure throughput knob (search/parallel_engine.h).
 class TreeSearchAlgorithm final : public PhaseAlgorithm {
  public:
-  TreeSearchAlgorithm(std::string name, search::SearchConfig config,
-                      std::uint32_t threads = 1);
+  TreeSearchAlgorithm(std::string name, search::SearchConfig config);
 
   [[nodiscard]] SearchResult schedule_phase(
       const std::vector<Task>& batch,
@@ -74,9 +68,6 @@ class TreeSearchAlgorithm final : public PhaseAlgorithm {
       const machine::Interconnect& net,
       std::uint64_t vertex_budget) const override;
   [[nodiscard]] std::string name() const override { return name_; }
-  [[nodiscard]] std::uint32_t threads() const override {
-    return engine_.threads();
-  }
 
   [[nodiscard]] const search::SearchConfig& search_config() const {
     return engine_.config();
@@ -84,7 +75,7 @@ class TreeSearchAlgorithm final : public PhaseAlgorithm {
 
  private:
   std::string name_;
-  search::ParallelSearchEngine engine_;
+  search::SearchEngine engine_;
 };
 
 /// Non-search greedy baselines.

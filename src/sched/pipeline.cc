@@ -26,10 +26,6 @@ RunMetrics PhasePipeline::run(const std::vector<Task>& workload,
                               ExecutionBackend& backend,
                               PhaseObserver* observer,
                               TaskLedger* external_ledger) const {
-  for (std::size_t i = 1; i < workload.size(); ++i) {
-    RTDS_REQUIRE(workload[i - 1].arrival <= workload[i].arrival,
-                 "PhasePipeline: workload must be sorted by arrival");
-  }
   tasks::VectorArrivalSource source(workload);
   // Closed run == open run over the exhaustible vector source, with
   // admission control off and no latency accounting.
@@ -54,7 +50,6 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
                                    TaskLedger* external_ledger) const {
   RunMetrics metrics;
   metrics.algorithm = algorithm_.name();
-  metrics.threads = algorithm_.threads();
 
   const std::optional<SimTime> first_arrival = source.peek();
   if (!first_arrival.has_value()) {
@@ -117,7 +112,6 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
 
     PhaseRecord record;
     record.algorithm = metrics.algorithm;
-    record.threads = metrics.threads;
     record.index = metrics.phases;
     record.start = t;
     record.arrivals = arrived.size();

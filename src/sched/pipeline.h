@@ -51,11 +51,6 @@ struct RunMetrics {
   /// PhaseAlgorithm's name()) — every run is attributable by name, and the
   /// cross-backend parity oracles compare it like any other field.
   std::string algorithm;
-  /// Worker threads the algorithm used per phase (PhaseAlgorithm::threads;
-  /// 1 for every sequential algorithm). Parity-checked across backends:
-  /// parallel search is bit-identical to sequential, so the thread count
-  /// never changes any other field.
-  std::uint32_t threads{1};
 
   std::uint64_t total_tasks{0};
   std::uint64_t scheduled{0};        ///< delivered to a worker

@@ -14,7 +14,7 @@ void PhaseTraceRecorder::write_csv(std::ostream& os) const {
         "min_load_us,quantum_us,budget,floor_override,vertices,expansions,"
         "backtracks,max_depth,dead_end,leaf,budget_exhausted,scheduled,"
         "delivered,overflow_drops,readmitted,rejected,search_wall_ns,"
-        "threads,algorithm\n";
+        "algorithm\n";
   for (const PhaseRecord& r : records_) {
     os << r.index << ',' << r.start.us << ',' << r.end.us << ','
        << r.batch_size << ',' << r.arrivals << ',' << r.culled << ','
@@ -29,7 +29,7 @@ void PhaseTraceRecorder::write_csv(std::ostream& os) const {
        << (r.search.budget_exhausted ? 1 : 0) << ',' << r.scheduled << ','
        << r.delivered << ',' << r.overflow_drops << ',' << r.readmitted
        << ',' << r.rejected << ',' << r.search_wall_ns << ','
-       << r.threads << ',' << r.algorithm << '\n';
+       << r.algorithm << '\n';
   }
 }
 

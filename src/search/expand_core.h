@@ -1,8 +1,6 @@
-// The single source of truth for vertex expansion — shared by the
-// sequential engine (engine.cc) and the parallel engine's shard/replay
-// paths (parallel_engine.cc), which historically carried byte-for-byte
-// copies of this loop. One copy means the bit-identical-results contract
-// between the two engines is structural, not test-pinned.
+// Vertex expansion for the search engine (engine.cc), its only caller.
+// tests/search/simd_parity_test.cc proves the kernels behind the batched
+// paths below against their scalar forms.
 //
 // expand_vertex() is the exact budget-interleaved successor generation of
 // the original SearchEngine::run: every generated vertex (feasible or not)

@@ -161,7 +161,6 @@ void oracle_metric_parity(const BackendRun& a, const BackendRun& b,
   const sched::RunMetrics& y = b.metrics;
   const char* oracle = "metric-parity";
   expect_eq(out, oracle, pair, "algorithm", x.algorithm, y.algorithm);
-  expect_eq(out, oracle, pair, "threads", x.threads, y.threads);
   expect_eq(out, oracle, pair, "total_tasks", x.total_tasks, y.total_tasks);
   expect_eq(out, oracle, pair, "scheduled", x.scheduled, y.scheduled);
   expect_eq(out, oracle, pair, "deadline_hits", x.deadline_hits,

@@ -41,9 +41,8 @@ TEST(RegistryTest, CanonicalNameIsAFixpoint) {
            "edf_ff", "edf_bf", "myopic", "myopic?window=3", "packing",
            "packing?fit=best", "packing?fit=best&order=lpt", "multicrit",
            "multicrit?sort=min_slack&fit=worst",
-           "multicrit?sort=lpt&fit=next", "search", "search?threads=2",
-           "search?repr=seq&strategy=best&cost=off", "rt_sads?threads=4",
-           "d_cols?max_successors=4&threads=8"}) {
+           "multicrit?sort=lpt&fit=next", "search",
+           "search?repr=seq&strategy=best&cost=off"}) {
     const std::string name = reg().make(spec)->name();
     EXPECT_EQ(reg().make(name)->name(), name) << "spec " << spec;
   }
@@ -64,10 +63,8 @@ TEST(RegistryTest, CanonicalizationNormalizesSpecs) {
       {"packing?order=lpt&fit=best", "packing?fit=best&order=lpt"},
       {"multicrit?fit=next&sort=lpt", "multicrit?sort=lpt&fit=next"},
       {"multicrit?sort=density", "multicrit"},
-      {"rt_sads?threads=1", "rt_sads"},
-      {"rt_sads?threads=04", "rt_sads?threads=4"},
-      {"search?repr=assign&strategy=dfs&cost=on&threads=1", "search"},
-      {"search?threads=2&strategy=best", "search?strategy=best&threads=2"},
+      {"search?repr=assign&strategy=dfs&cost=on", "search"},
+      {"search?cost=on&strategy=best", "search?strategy=best"},
   };
   for (const auto& [input, canonical] : cases) {
     const auto result = reg().canonicalize(input);
@@ -98,13 +95,14 @@ TEST(RegistryTest, RejectsMalformedSpecs) {
            "myopic?window=0",               // below the domain floor
            "packing?fit=worst",   // worst-fit is multicrit-only
            "packing?sort=lpt",    // packing spells the axis 'order'
-           "rt_sads?threads=0",   // zero threads is meaningless
-           "search?threads=0",
-           "search?threads=65",   // above the engine's shard ceiling
-           "search?threads=abc",  // non-numeric u32
-           "d_cols?threads=-1",   // negative u32
            "search?repr=tree",    // out-of-domain representation
-           "edf_ff?threads=2",    // threads is a tree-search-only knob
+           // `threads` is not a parameter of any entry: no value, not
+           // even the old default, is accepted.
+           "rt_sads?threads=1",
+           "rt_sads?threads=4",
+           "search?threads=2",
+           "d_cols?threads=8",
+           "edf_ff?threads=2",
        }) {
     EXPECT_THROW((void)reg().make(spec), InvalidArgument) << spec;
     EXPECT_FALSE(reg().canonicalize(spec).has_value()) << spec;
@@ -135,20 +133,18 @@ TEST(RegistryTest, SearchEntrantsMatchThePresetConfigs) {
   expect_same(*reg().make("rt_sads"), *make_rt_sads());
   expect_same(*reg().make("d_cols"), *make_d_cols());
   expect_same(*reg().make("d_cols?max_successors=3"), *make_d_cols_pruned(3));
-  // The generic `search` key defaults to the RT-SADS configuration, and a
-  // thread count never changes the search config (parallel results are
-  // bit-identical to sequential).
+  // The generic `search` key defaults to the RT-SADS configuration.
   expect_same(*reg().make("search"), *make_rt_sads());
-  expect_same(*reg().make("search?threads=4"), *reg().make("search"));
-  expect_same(*reg().make("rt_sads?threads=4"), *make_rt_sads());
 }
 
 TEST(RegistryTest, ThreadsParameterReachesTheAlgorithm) {
-  EXPECT_EQ(reg().make("rt_sads")->threads(), 1u);
-  EXPECT_EQ(reg().make("edf_ff")->threads(), 1u);
-  EXPECT_EQ(reg().make("rt_sads?threads=4")->threads(), 4u);
-  EXPECT_EQ(reg().make("search?threads=2")->threads(), 2u);
-  EXPECT_EQ(reg().make("d_cols?threads=64")->threads(), 64u);
+  // There is no `threads` parameter: every entrant runs its phase on one
+  // thread and reports so, and a `threads=` spec never builds.
+  for (const std::string& key : reg().keys()) {
+    EXPECT_EQ(reg().make(key)->threads(), 1u) << key;
+    EXPECT_THROW((void)reg().make(key + "?threads=1"), InvalidArgument)
+        << key;
+  }
 }
 
 TEST(RegistryTest, PartitionEntrantsWireTheConfigMatrix) {

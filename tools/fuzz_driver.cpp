@@ -180,10 +180,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     pinned_spec = *canonical;
-    const auto pinned =
-        rtds::sched::AlgorithmRegistry::builtin().make(pinned_spec);
-    std::cout << "rtds_fuzz: pinned algorithm " << pinned->name()
-              << " (threads " << pinned->threads() << ")\n";
+    std::cout << "rtds_fuzz: pinned algorithm " << pinned_spec << "\n";
   }
 
   if (!args.replay_token.empty()) {
