@@ -89,13 +89,13 @@ int main() {
         t + kVertexCost * std::int64_t(result.stats.vertices_generated) +
         kPhaseOverhead;
     std::vector<machine::ScheduledAssignment> delivery;
-    std::unordered_set<tasks::TaskId> ids;
+    std::vector<std::uint8_t> scheduled(batch.size(), 0);
     for (const auto& a : result.schedule) {
       delivery.push_back({batch.tasks()[a.task_index], a.worker});
-      ids.insert(batch.tasks()[a.task_index].id);
+      scheduled[a.task_index] = 1;
     }
     cluster.deliver(delivery, end);
-    batch.remove_scheduled(ids);
+    batch.remove_marked(scheduled);
 
     std::cout << std::setw(5) << phase++ << std::setw(10) << std::fixed
               << std::setprecision(2) << double(t.us) / 1000.0

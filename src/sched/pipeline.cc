@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/error.h"
@@ -72,6 +71,11 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
   // as tasks reach terminal states — under open arrivals this map would
   // otherwise grow with every task ever refused, for the whole run.
   std::unordered_map<tasks::TaskId, std::uint32_t> delivery_attempts;
+  // Per-phase scratch, capacity retained across phases.
+  std::vector<Task> arrived;
+  std::vector<Task> culled_tasks;
+  std::vector<machine::ScheduledAssignment> delivery;
+  std::vector<std::uint8_t> retire;  // per batch position: leaves the batch
 
   // Nothing to do before the first arrival.
   backend.wait_until(*first_arrival);
@@ -81,7 +85,7 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
 
     // Form Batch(j): pull tasks that arrived up to now from the source
     // (through admission control), merge them, cull unreachable.
-    std::vector<Task> arrived;
+    arrived.clear();
     std::uint64_t admission_rejected_now = 0;
     while (true) {
       const std::optional<SimTime> next_arrival = source.peek();
@@ -103,7 +107,7 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
       arrived.push_back(std::move(task));
     }
     batch.merge_arrivals(arrived);
-    const std::vector<Task> culled_tasks = batch.cull_missed(t);
+    batch.cull_missed(t, culled_tasks);
     for (const Task& task : culled_tasks) {
       ledger.cull(task.id);
       delivery_attempts.erase(task.id);  // culled == terminal
@@ -189,16 +193,16 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
     metrics.min_quantum_seen = min_duration(metrics.min_quantum_seen, quantum);
     metrics.max_quantum_seen = max_duration(metrics.max_quantum_seen, quantum);
 
-    // Materialize S_j against the batch snapshot. The scheduled tasks are
-    // retired from the batch only after deliver() reports which of them the
-    // backend actually accepted — a refused assignment must not disappear.
-    std::vector<machine::ScheduledAssignment> delivery;
-    delivery.reserve(result.schedule.size());
-    std::unordered_set<tasks::TaskId> scheduled_ids;
+    // Materialize S_j against the batch snapshot and mark the scheduled
+    // tasks' batch positions for retirement. They leave the batch only
+    // after deliver() reports which of them the backend actually accepted
+    // — a refused assignment must not disappear.
+    delivery.clear();
+    retire.assign(batch.size(), 0);
     for (const search::Assignment& a : result.schedule) {
       const Task& task = batch.tasks()[a.task_index];
       delivery.push_back({task, a.worker});
-      scheduled_ids.insert(task.id);
+      retire[a.task_index] = 1;
       ledger.schedule(task.id);
     }
 
@@ -211,8 +215,9 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
     // Retire from the batch exactly the tasks that left the pipeline:
     // accepted deliveries and tasks whose delivery budget is spent. A
     // refused task with attempts remaining stays pending — that is the
-    // readmission path — so a later phase schedules it again.
-    std::unordered_set<tasks::TaskId> retired_ids = scheduled_ids;
+    // readmission path — so a later phase schedules it again. Only a phase
+    // with refused deliveries builds this map (id -> readmitted).
+    std::unordered_map<tasks::TaskId, bool> refusals;
     std::uint64_t readmitted_now = 0;
     std::uint64_t rejected_now = 0;
     SimDuration min_refused_load = SimDuration::max();
@@ -225,11 +230,11 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
         ledger.reject(refused.task.id);
         metrics.rejected += 1;
         rejected_now += 1;
-        continue;  // stays in retired_ids: leaves the pipeline for good
+        refusals.emplace(refused.task.id, false);  // leaves for good
+        continue;
       }
       ledger.drop(refused.task.id);
-      batch.readmit(refused.task);  // no-op when still pending (the rule)
-      retired_ids.erase(refused.task.id);
+      refusals.emplace(refused.task.id, true);  // stays pending
       metrics.readmissions += 1;
       readmitted_now += 1;
       min_refused_load = min_duration(
@@ -238,12 +243,17 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
     // Everything scheduled this phase that was neither readmitted nor
     // rejected was accepted by the backend. The accepted deliveries are
     // where schedule latency is measured: the clock now reads t_e, the
-    // instant S_j landed in the worker ready queues.
-    std::unordered_set<tasks::TaskId> refused_ids;
-    for (const machine::ScheduledAssignment& refused : delivered.undelivered)
-      refused_ids.insert(refused.task.id);
-    for (const machine::ScheduledAssignment& accepted : delivery) {
-      if (refused_ids.count(accepted.task.id) != 0) continue;
+    // instant S_j landed in the worker ready queues. A readmitted task is
+    // un-marked: it keeps its batch position.
+    for (std::size_t i = 0; i < delivery.size(); ++i) {
+      const machine::ScheduledAssignment& accepted = delivery[i];
+      if (!refusals.empty()) {
+        const auto it = refusals.find(accepted.task.id);
+        if (it != refusals.end()) {
+          if (it->second) retire[result.schedule[i].task_index] = 0;
+          continue;
+        }
+      }
       ledger.deliver(accepted.task.id);
       delivery_attempts.erase(accepted.task.id);  // delivered == terminal
       if (stats != nullptr) {
@@ -251,7 +261,7 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
             double((backend.now() - accepted.task.arrival).us));
       }
     }
-    batch.remove_scheduled(retired_ids);
+    batch.remove_marked(retire);
 
     if (observer != nullptr) {
       record.end = phase_end;

@@ -1,6 +1,7 @@
 #include "search/engine.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <memory>
 #include <tuple>
@@ -189,7 +190,19 @@ class CandidateList {
 /// clear(); arenas pool their chunks and self-trim to kArenaRetainBytes).
 /// thread_local keeps the engine safely shareable across backend threads.
 struct Workspace {
+  /// Consideration order of the previous heuristic-ordered run, carried
+  /// into the next one together with the ids and order keys, by batch
+  /// position, of the batch it sorted.
   std::vector<std::uint32_t> order;
+  std::vector<tasks::TaskId> ids;
+  std::vector<std::int64_t> keys;
+  // Scratch for deriving the next order: the new batch's ids/keys (swapped
+  // in afterwards), old position -> new position, and survivors + tail.
+  // task_consideration_order_into() borrows next_keys and remap as well.
+  std::vector<tasks::TaskId> next_ids;
+  std::vector<std::int64_t> next_keys;
+  std::vector<std::uint32_t> remap;
+  std::vector<std::uint32_t> merge_input;
   NodeArena<NodeNarrow> narrow;
   NodeArena<NodeWide> wide;
   std::vector<Candidate> candidates;
@@ -209,8 +222,128 @@ std::size_t workspace_bytes(const Workspace& ws) {
   return ws.narrow.capacity_bytes() + ws.wide.capacity_bytes() +
          ws.candidates.capacity() * sizeof(Candidate) +
          ws.cl_entries.capacity() * sizeof(CandidateList::Entry) +
-         ws.order.capacity() * sizeof(std::uint32_t) +
-         ws.task_ids.capacity() * sizeof(std::uint32_t);
+         (ws.order.capacity() + ws.remap.capacity() +
+          ws.merge_input.capacity() + ws.task_ids.capacity()) *
+             sizeof(std::uint32_t) +
+         (ws.ids.capacity() + ws.next_ids.capacity()) *
+             sizeof(tasks::TaskId) +
+         (ws.keys.capacity() + ws.next_keys.capacity()) *
+             sizeof(std::int64_t);
+}
+
+/// Fills the consideration-order key of every task, by batch position: the
+/// order is ascending (key, position), i.e. exactly std::stable_sort's
+/// permutation by key. Slack ordering (d - t - p) is time-independent
+/// within a phase, so its key is d - p.
+void fill_keys(const std::vector<Task>& batch, TaskOrder order,
+               std::vector<std::int64_t>& keys) {
+  keys.resize(batch.size());
+  for (std::size_t pos = 0; pos < batch.size(); ++pos) {
+    const Task& task = batch[pos];
+    keys[pos] = order == TaskOrder::kMinSlack
+                    ? (task.deadline - task.processing).us
+                    : task.deadline.us;
+  }
+}
+
+/// Sorts the ASCENDING batch positions [first, last) stably by keys[pos],
+/// which is the strict (key, position) order: a total order on distinct
+/// positions, so the permutation is std::stable_sort's. Short ranges (the
+/// usual phase tail: a few arrivals) take an insertion sort; longer ones an
+/// LSD radix sort on key - min key, one byte per pass through `scratch`
+/// (room for last - first entries). Phase batches tie heavily on deadline,
+/// where the radix passes' data-independent branches beat comparison sorts
+/// several times over. Neither path allocates.
+void sort_positions(std::uint32_t* first, std::uint32_t* last,
+                    const std::int64_t* keys, std::uint32_t* scratch) {
+  const auto n = static_cast<std::size_t>(last - first);
+  if (n <= 48) {
+    for (std::uint32_t* i = first + 1; i < last; ++i) {
+      const std::uint32_t pos = *i;
+      std::uint32_t* j = i;
+      for (; j > first && keys[pos] < keys[*(j - 1)]; --j) *j = *(j - 1);
+      *j = pos;
+    }
+    return;
+  }
+  std::int64_t lo = keys[*first];
+  std::int64_t hi = lo;
+  for (const std::uint32_t* i = first; i < last; ++i) {
+    lo = std::min(lo, keys[*i]);
+    hi = std::max(hi, keys[*i]);
+  }
+  const auto digits = [&](std::uint32_t pos) {
+    return std::uint64_t(keys[pos]) - std::uint64_t(lo);
+  };
+  const std::uint64_t range = std::uint64_t(hi) - std::uint64_t(lo);
+  std::uint32_t* src = first;
+  std::uint32_t* dst = scratch;
+  for (unsigned shift = 0; shift < 64 && (range >> shift) != 0; shift += 8) {
+    std::array<std::uint32_t, 257> start{};
+    for (std::size_t i = 0; i < n; ++i) {
+      ++start[((digits(src[i]) >> shift) & 0xFF) + 1];
+    }
+    for (std::size_t d = 1; d < start.size(); ++d) start[d] += start[d - 1];
+    for (std::size_t i = 0; i < n; ++i) {
+      dst[start[(digits(src[i]) >> shift) & 0xFF]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  if (src != first) std::copy(src, src + n, first);
+}
+
+/// Fills ws.order with the consideration order of `batch`, derived from the
+/// order carried over from the previous run (docs/ARCHITECTURE.md, "Search
+/// hot path"). The new batch is matched against the carried one by a
+/// forward-only walk: a task matches when its id and key equal those of a
+/// later carried task than the previous match. The walk stops at the first
+/// task it cannot match; from there on is the unsorted tail. Matched tasks
+/// keep their key and their relative position, so filtering the carried
+/// order to them and remapping their positions yields their sorted order;
+/// merging it with the sorted tail (matched first on equal keys, since every
+/// matched position precedes the tail) is std::stable_sort's permutation of
+/// the whole batch. Only key equality and the kept positions matter, so this
+/// holds for any input — an unrelated batch, or keys carried under the other
+/// heuristic, merely shortens the matched part (at worst, the tail is all).
+void carry_order(const std::vector<Task>& batch, TaskOrder kind,
+                 Workspace& ws) {
+  const auto n = static_cast<std::uint32_t>(batch.size());
+  ws.next_ids.resize(n);
+  for (std::uint32_t j = 0; j < n; ++j) ws.next_ids[j] = batch[j].id;
+  fill_keys(batch, kind, ws.next_keys);
+
+  constexpr std::uint32_t kGone = ~std::uint32_t{0};
+  const auto old_n = static_cast<std::uint32_t>(ws.ids.size());
+  ws.remap.assign(old_n, kGone);
+  std::uint32_t matched = 0;
+  for (std::uint32_t i = 0; matched < n; ++i, ++matched) {
+    while (i < old_n && ws.ids[i] != ws.next_ids[matched]) ++i;
+    if (i == old_n || ws.keys[i] != ws.next_keys[matched]) break;
+    ws.remap[i] = matched;
+  }
+
+  // Survivors in carried order, then the tail, sorted in place (ws.order
+  // is free as scratch once the survivors are out of it).
+  ws.merge_input.clear();
+  for (const std::uint32_t old_pos : ws.order) {
+    const std::uint32_t pos = ws.remap[old_pos];
+    if (pos != kGone) ws.merge_input.push_back(pos);
+  }
+  for (std::uint32_t pos = matched; pos < n; ++pos) {
+    ws.merge_input.push_back(pos);
+  }
+  ws.order.resize(n);
+  const std::int64_t* keys = ws.next_keys.data();
+  std::uint32_t* const survivors = ws.merge_input.data();
+  std::uint32_t* const tail = survivors + matched;
+  sort_positions(tail, survivors + n, keys, ws.order.data());
+
+  std::merge(survivors, tail, tail, survivors + n, ws.order.data(),
+             [keys](std::uint32_t a, std::uint32_t b) {
+               return keys[a] < keys[b] || (keys[a] == keys[b] && a < b);
+             });
+  ws.ids.swap(ws.next_ids);
+  ws.keys.swap(ws.next_keys);
 }
 
 template <typename NodeT>
@@ -224,13 +357,13 @@ SearchResult run_impl(const SearchConfig& config,
   const std::uint32_t m = net.num_workers();
 
   // kBatchOrder is the identity permutation: skip building (and chasing)
-  // the index vector entirely.
-  if (config.task_order == TaskOrder::kBatchOrder) {
-    ws.order.clear();
-  } else {
-    task_consideration_order_into(batch, config.task_order, ws.order);
+  // the index vector entirely, and leave the carried order for the next
+  // heuristic-ordered run.
+  const std::uint32_t* order = nullptr;
+  if (config.task_order != TaskOrder::kBatchOrder) {
+    carry_order(batch, config.task_order, ws);
+    order = ws.order.data();
   }
-  const std::uint32_t* order = ws.order.empty() ? nullptr : ws.order.data();
 
   PartialSchedule ps(&batch, base_loads, delivery_time, &net);
   ps.set_consideration_order(order);
@@ -351,25 +484,13 @@ void task_consideration_order_into(const std::vector<Task>& batch,
                                    std::vector<std::uint32_t>& out) {
   out.resize(batch.size());
   for (std::uint32_t i = 0; i < batch.size(); ++i) out[i] = i;
-  switch (order) {
-    case TaskOrder::kBatchOrder:
-      break;
-    case TaskOrder::kEarliestDeadline:
-      std::stable_sort(out.begin(), out.end(),
-                       [&](std::uint32_t a, std::uint32_t b) {
-                         return batch[a].deadline < batch[b].deadline;
-                       });
-      break;
-    case TaskOrder::kMinSlack:
-      // Slack ordering (d - t - p) is time-independent within a phase:
-      // compare d - p.
-      std::stable_sort(out.begin(), out.end(),
-                       [&](std::uint32_t a, std::uint32_t b) {
-                         return batch[a].deadline - batch[a].processing <
-                                batch[b].deadline - batch[b].processing;
-                       });
-      break;
-  }
+  if (order == TaskOrder::kBatchOrder) return;
+  // Borrows the thread's search scratch (never the carried order).
+  Workspace& ws = workspace();
+  fill_keys(batch, order, ws.next_keys);
+  ws.remap.resize(batch.size());
+  sort_positions(out.data(), out.data() + out.size(), ws.next_keys.data(),
+                 ws.remap.data());
 }
 
 std::vector<std::uint32_t> task_consideration_order(

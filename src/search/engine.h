@@ -162,8 +162,10 @@ inline constexpr std::uint32_t kMaxBatchTasks = 1u << 30;
 /// understate what a big batch actually used).
 [[nodiscard]] std::size_t thread_workspace_peak_bytes();
 
-/// Depth-first search over the task-space tree. Stateless between runs;
-/// one engine can be reused across phases.
+/// Depth-first search over the task-space tree. Results depend only on the
+/// run's arguments; one engine can be reused across phases. Between runs
+/// the calling thread keeps the last consideration order, so a batch that
+/// extends the previous one (see tasks/batch.h) only sorts its new tail.
 class SearchEngine {
  public:
   explicit SearchEngine(SearchConfig config);
@@ -204,9 +206,11 @@ std::vector<std::uint32_t> task_consideration_order(
     const std::vector<Task>& batch, TaskOrder order);
 
 /// Allocation-reusing core of task_consideration_order: fills `out` with
-/// the permutation (capacity retained across phases). kBatchOrder yields
-/// the identity permutation; the engine skips the vector entirely in that
-/// case and callers that only need identity semantics may do the same.
+/// the permutation (capacity retained across phases; the sort keys and its
+/// scratch live in the calling thread's search workspace, so a warm call
+/// allocates nothing). kBatchOrder yields the identity permutation; the
+/// engine skips the vector entirely in that case and callers that only
+/// need identity semantics may do the same.
 void task_consideration_order_into(const std::vector<Task>& batch,
                                    TaskOrder order,
                                    std::vector<std::uint32_t>& out);

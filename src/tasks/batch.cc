@@ -1,6 +1,6 @@
 #include "tasks/batch.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/error.h"
 
@@ -20,31 +20,33 @@ bool Batch::readmit(const Task& task) {
   return true;
 }
 
-void Batch::remove_scheduled(const std::unordered_set<TaskId>& scheduled_ids) {
-  if (scheduled_ids.empty()) return;
-  // Erase from ids_ inside the predicate: after remove_if the tail range
-  // holds shifted-up copies of the KEPT elements, so reading removed ids
-  // from it would unregister the wrong tasks.
-  auto removed = std::remove_if(tasks_.begin(), tasks_.end(),
-                                [&](const Task& t) {
-                                  if (scheduled_ids.count(t.id) == 0) {
-                                    return false;
-                                  }
-                                  ids_.erase(t.id);
-                                  return true;
-                                });
-  tasks_.erase(removed, tasks_.end());
+template <typename Drop>
+void Batch::compact(Drop drop) {
+  std::size_t keep = 0;
+  for (std::size_t i = 0; i < tasks_.size(); ++i) {
+    if (drop(tasks_[i], i)) {
+      ids_.erase(tasks_[i].id);
+      continue;
+    }
+    if (keep != i) tasks_[keep] = std::move(tasks_[i]);
+    ++keep;
+  }
+  tasks_.resize(keep);
 }
 
-std::vector<Task> Batch::cull_missed(SimTime t) {
-  std::vector<Task> culled;
-  auto keep_end = std::stable_partition(
-      tasks_.begin(), tasks_.end(),
-      [&](const Task& task) { return !task.deadline_unreachable(t); });
-  culled.assign(keep_end, tasks_.end());
-  for (const Task& task : culled) ids_.erase(task.id);
-  tasks_.erase(keep_end, tasks_.end());
-  return culled;
+void Batch::remove_marked(const std::vector<std::uint8_t>& marked) {
+  RTDS_REQUIRE(marked.size() == tasks_.size(),
+               "Batch::remove_marked: one flag per pending task required");
+  compact([&](const Task&, std::size_t i) { return marked[i] != 0; });
+}
+
+void Batch::cull_missed(SimTime t, std::vector<Task>& culled) {
+  culled.clear();
+  compact([&](Task& task, std::size_t) {
+    if (!task.deadline_unreachable(t)) return false;
+    culled.push_back(task);
+    return true;
+  });
 }
 
 SimDuration Batch::min_slack(SimTime t) const {

@@ -5,9 +5,18 @@
 // scheduled and the tasks whose deadlines were missed, and by adding the
 // tasks that arrived during phase j. Scheduled tasks never re-enter a later
 // batch (they are delivered to worker ready queues instead).
+//
+// Batch shape across phases: removals (retired and culled tasks) compact
+// the batch in place, and new tasks (arrivals, readmissions) are appended.
+// So the tasks of Batch(j) that are still pending in Batch(j+1) keep their
+// relative order and come before every task new to Batch(j+1). The search
+// engine relies on this for speed, not for correctness: it carries the
+// consideration order from one phase to the next and sorts only the tasks
+// past the carried ones (search/engine.cc).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <unordered_set>
 #include <vector>
 
@@ -39,14 +48,24 @@ class Batch {
   /// the pipeline only retires tasks the backend actually accepted.
   bool readmit(const Task& task);
 
-  /// Removes tasks that were scheduled in the phase that just ended.
-  /// Ids not present are ignored (they may have been culled already).
-  void remove_scheduled(const std::unordered_set<TaskId>& scheduled_ids);
+  /// Removes the tasks that left the pipeline in the phase that just
+  /// ended, by batch position: `marked` holds one flag per task in batch
+  /// order, and the tasks flagged non-zero are dropped in one
+  /// order-preserving pass. InvalidArgument unless marked.size() == size().
+  void remove_marked(const std::vector<std::uint8_t>& marked);
 
   /// Culls tasks whose deadlines can no longer be met at time t
-  /// (p_i + t_c > d_i, Sec. 4.1). Returns the culled tasks (the experiment
+  /// (p_i + t_c > d_i, Sec. 4.1) in one order-preserving pass. `culled` is
+  /// cleared and receives the culled tasks in batch order (the experiment
   /// harness counts them as deadline misses).
-  std::vector<Task> cull_missed(SimTime t);
+  void cull_missed(SimTime t, std::vector<Task>& culled);
+
+  /// As above, returning the culled tasks.
+  std::vector<Task> cull_missed(SimTime t) {
+    std::vector<Task> culled;
+    cull_missed(t, culled);
+    return culled;
+  }
 
   /// Minimum slack over the batch at time t (Min_Slack in Fig. 3).
   /// Requires a non-empty batch.
@@ -61,6 +80,10 @@ class Batch {
   }
 
  private:
+  /// Keeps the tasks for which drop(task, position) is false, in order.
+  template <typename Drop>
+  void compact(Drop drop);
+
   std::vector<Task> tasks_;
   std::unordered_set<TaskId> ids_;  // duplicate detection
 };

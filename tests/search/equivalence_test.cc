@@ -232,6 +232,112 @@ TEST(SearchEquivalenceTest, MeshRoutingStillIdentical) {
   }
 }
 
+/// A task for the pipeline-shaped sequences: deadlines and processing
+/// times come from small sets, so EDF and slack keys tie heavily (as FIG5
+/// batches do, where ~45% of a batch can share one deadline). Some slack
+/// keys are negative and a few deadlines lie far out, so the order keys
+/// span many bytes.
+Task tied_task(Xoshiro256ss& rng, tasks::TaskId id, std::uint32_t workers) {
+  Task t;
+  t.id = id;
+  t.processing = usec(500 * rng.uniform_int(1, 6));
+  t.deadline = SimTime::zero() + usec(1500 * rng.uniform_int(1, 16));
+  if (rng.bernoulli(0.03)) t.deadline = t.deadline + usec(1LL << 40);
+  t.affinity.add(
+      static_cast<ProcessorId>(rng.uniform_int(0, workers - 1)));
+  return t;
+}
+
+TEST(SearchEquivalenceTest, BitIdenticalOverPipelineShapedBatchSequences) {
+  // One engine per order heuristic, fed successive batches the way
+  // PhasePipeline forms them: each batch is the previous one with random
+  // removals compacted out, arrivals appended, and sometimes a removed
+  // task re-appended (readmission). This exercises the consideration order
+  // carried across runs; unrelated batches interleaved on the same thread,
+  // a changed key on a carried task, and a switch of heuristic must all
+  // fall back to sorting exactly what changed.
+  constexpr std::uint32_t kWorkers = 4;
+  const auto net = machine::Interconnect::cut_through(kWorkers, usec(300));
+  const std::vector<SimDuration> loads(kWorkers, SimDuration::zero());
+  Xoshiro256ss rng(0x91BE5EED);
+  std::uint64_t steps = 0;
+  for (const auto representation : {Representation::kAssignmentOriented,
+                                    Representation::kSequenceOriented}) {
+    for (const auto order :
+         {TaskOrder::kEarliestDeadline, TaskOrder::kMinSlack}) {
+      SearchConfig cfg;
+      cfg.representation = representation;
+      cfg.task_order = order;
+      SearchConfig other = cfg;  // the unrelated pipeline's heuristic
+      other.task_order = order == TaskOrder::kMinSlack
+                             ? TaskOrder::kEarliestDeadline
+                             : TaskOrder::kMinSlack;
+      const SearchEngine engine(cfg);
+      tasks::TaskId next_id = 0;
+      std::vector<Task> batch;
+      for (int i = 0; i < 200; ++i) {
+        batch.push_back(tied_task(rng, next_id++, kWorkers));
+      }
+      for (int step = 0; step < 40; ++step, ++steps) {
+        const auto budget = std::uint64_t(rng.uniform_int(50, 3000));
+        const SearchResult fast =
+            engine.run(batch, loads, SimTime::zero(), net, budget);
+        const SearchResult ref =
+            reference::run(cfg, batch, loads, SimTime::zero(), net, budget);
+        expect_identical(fast, ref, cfg, steps);
+        if (HasFatalFailure()) return;
+
+        const int roll = static_cast<int>(rng.uniform_int(0, 9));
+        if (roll == 0) {
+          // Another pipeline on the same thread, under either heuristic,
+          // over an unrelated batch whose ids collide with this one's.
+          std::vector<Task> unrelated;
+          const auto size = rng.uniform_int(1, 120);
+          for (std::int64_t i = 0; i < size; ++i) {
+            unrelated.push_back(
+                tied_task(rng, static_cast<tasks::TaskId>(i), kWorkers));
+          }
+          const SearchConfig& c = rng.bernoulli(0.5) ? cfg : other;
+          expect_identical(
+              SearchEngine(c).run(unrelated, loads, SimTime::zero(), net,
+                                  budget),
+              reference::run(c, unrelated, loads, SimTime::zero(), net,
+                             budget),
+              c, steps);
+        } else if (roll == 1 && !batch.empty()) {
+          // A carried task changes its key in place.
+          Task& t = batch[std::size_t(
+              rng.uniform_int(0, std::int64_t(batch.size()) - 1))];
+          t.deadline = t.deadline + usec(4000);
+          continue;
+        }
+
+        // Retire the scheduled tasks and a few random others, keeping order.
+        std::vector<std::uint8_t> gone(batch.size(), 0);
+        for (const Assignment& a : fast.schedule) gone[a.task_index] = 1;
+        for (auto& g : gone) g |= rng.bernoulli(0.1) ? 1 : 0;
+        std::vector<Task> next;
+        std::vector<Task> removed;
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          (gone[i] ? removed : next).push_back(batch[i]);
+        }
+        // Arrivals, sometimes none, sometimes more than a short tail.
+        const auto arrivals = rng.bernoulli(0.3) ? 0 : rng.uniform_int(1, 70);
+        for (std::int64_t i = 0; i < arrivals; ++i) {
+          next.push_back(tied_task(rng, next_id++, kWorkers));
+        }
+        // A refused delivery readmitted behind the arrivals.
+        if (!removed.empty() && rng.bernoulli(0.3)) {
+          next.push_back(removed[std::size_t(
+              rng.uniform_int(0, std::int64_t(removed.size()) - 1))]);
+        }
+        batch = std::move(next);
+        if (batch.empty()) batch.push_back(tied_task(rng, next_id++, kWorkers));
+      }
+    }
+  }
+}
+
 TEST(SearchEquivalenceTest, EmptyBatchAndZeroBudgetMatch) {
   const auto net = machine::Interconnect::cut_through(2, msec(1));
   const SearchConfig cfg;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <unordered_set>
+#include <vector>
+
 #include "common/error.h"
 
 namespace rtds::tasks {
@@ -50,7 +54,7 @@ TEST(BatchTest, ReadmitInsertsOnlyWhenAbsent) {
   EXPECT_TRUE(b.readmit(t));    // not pending: inserted
   EXPECT_FALSE(b.readmit(t));   // already pending: no-op
   EXPECT_EQ(b.size(), 1u);
-  b.remove_scheduled({5});
+  b.remove_marked({1});
   EXPECT_TRUE(b.readmit(t));    // removed, so readmission re-inserts
   EXPECT_EQ(b.size(), 1u);
 }
@@ -59,7 +63,7 @@ TEST(BatchTest, ReadmittedTaskKeepsBatchOrder) {
   Batch b;
   b.merge_arrivals({make_task(1, msec(1), SimTime{100000}),
                     make_task(2, msec(1), SimTime{100000})});
-  b.remove_scheduled({1});
+  b.remove_marked({1, 0});
   EXPECT_TRUE(b.readmit(make_task(1, msec(1), SimTime{100000})));
   ASSERT_EQ(b.size(), 2u);
   EXPECT_EQ(b.tasks()[0].id, 2u);  // readmission appends
@@ -71,11 +75,11 @@ TEST(BatchTest, RemoveScheduledDropsOnlyListed) {
   b.merge_arrivals({make_task(1, msec(1), SimTime{100000}),
                     make_task(2, msec(1), SimTime{100000}),
                     make_task(3, msec(1), SimTime{100000})});
-  b.remove_scheduled({1, 3});
+  b.remove_marked({1, 0, 1});
   ASSERT_EQ(b.size(), 1u);
   EXPECT_EQ(b.tasks()[0].id, 2u);
-  // Unknown ids are ignored.
-  b.remove_scheduled({42});
+  // Unmarked positions are kept.
+  b.remove_marked({0});
   EXPECT_EQ(b.size(), 1u);
 }
 
@@ -88,7 +92,7 @@ TEST(BatchTest, RemoveScheduledUnregistersExactlyTheRemovedIds) {
   b.merge_arrivals({make_task(1, msec(1), SimTime{100000}),
                     make_task(2, msec(1), SimTime{100000}),
                     make_task(3, msec(1), SimTime{100000})});
-  b.remove_scheduled({1, 3});
+  b.remove_marked({1, 0, 1});
   EXPECT_FALSE(b.readmit(make_task(2, msec(1), SimTime{100000})));  // pending
   EXPECT_TRUE(b.readmit(make_task(1, msec(1), SimTime{100000})));
   EXPECT_TRUE(b.readmit(make_task(3, msec(1), SimTime{100000})));
@@ -100,7 +104,7 @@ TEST(BatchTest, RemovedIdsCanReappearAsNewTasks) {
   // reuses ids, but the container must not keep ghosts).
   Batch b;
   b.merge_arrivals({make_task(1, msec(1), SimTime{100000})});
-  b.remove_scheduled({1});
+  b.remove_marked({1});
   EXPECT_TRUE(b.empty());
   b.merge_arrivals({make_task(1, msec(2), SimTime{100000})});
   EXPECT_EQ(b.size(), 1u);
@@ -168,7 +172,7 @@ TEST(BatchTest, ReadmitAfterPartialDelivery) {
   const Task t2 = make_task(2, msec(2), SimTime{1000000});
   const Task t3 = make_task(3, msec(3), SimTime{1000000});
   b.merge_arrivals({t1, t2, t3});
-  b.remove_scheduled({1, 2, 3});
+  b.remove_marked({1, 1, 1});
   EXPECT_TRUE(b.empty());
   EXPECT_TRUE(b.readmit(t2));
   ASSERT_EQ(b.size(), 1u);
@@ -193,7 +197,7 @@ TEST(BatchTest, ReadmittedTaskMergesWithDuplicateIdArrival) {
   ASSERT_EQ(b.size(), 2u);
   EXPECT_EQ(b.tasks()[0].id, 7u);
   EXPECT_EQ(b.tasks()[0].processing, msec(2));  // the readmitted copy won
-  b.remove_scheduled({7});
+  b.remove_marked({1, 0});
   EXPECT_EQ(b.size(), 1u);
   EXPECT_TRUE(b.readmit(refused));
   EXPECT_EQ(b.size(), 2u);
@@ -212,7 +216,7 @@ TEST(BatchTest, RemoveScheduledReadmitInterleaving) {
     // Schedule the whole batch...
     std::unordered_set<TaskId> scheduled;
     for (const Task& t : b.tasks()) scheduled.insert(t.id);
-    b.remove_scheduled(scheduled);
+    b.remove_marked(std::vector<std::uint8_t>(b.size(), 1));
     EXPECT_TRUE(b.empty());
     // ...and readmit every other task, as a partial refusal would.
     std::size_t readmitted = 0;
@@ -230,10 +234,44 @@ TEST(BatchTest, RemoveScheduledReadmitInterleaving) {
 TEST(BatchTest, RemoveScheduledIgnoresAbsentIds) {
   Batch b;
   b.merge_arrivals({make_task(1, msec(1), SimTime{1000000})});
-  b.remove_scheduled({1, 99});  // 99 was culled elsewhere: ignored
+  b.remove_marked({1});  // 99 was culled elsewhere: never pending here
   EXPECT_TRUE(b.empty());
   // And the absent id did not poison the index.
   EXPECT_TRUE(b.readmit(make_task(99, msec(1), SimTime{1000000})));
+}
+
+TEST(BatchTest, CullMissedCompactsInOrderAndReleasesIds) {
+  // Culled tasks come back in batch order, survivors keep theirs, and the
+  // culled ids are unregistered, so readmit() re-inserts them.
+  Batch b;
+  const SimTime t0 = SimTime::zero();
+  b.merge_arrivals({make_task(1, msec(5), t0 + msec(2)),     // culled
+                    make_task(2, msec(1), t0 + msec(50)),
+                    make_task(3, msec(9), t0 + msec(4)),     // culled
+                    make_task(4, msec(1), t0 + msec(60)),
+                    make_task(5, msec(7), t0 + msec(3))});   // culled
+  std::vector<Task> culled{make_task(42, msec(1), t0)};  // cleared first
+  b.cull_missed(t0, culled);
+  ASSERT_EQ(culled.size(), 3u);
+  EXPECT_EQ(culled[0].id, 1u);
+  EXPECT_EQ(culled[1].id, 3u);
+  EXPECT_EQ(culled[2].id, 5u);
+  ASSERT_EQ(b.size(), 2u);
+  EXPECT_EQ(b.tasks()[0].id, 2u);
+  EXPECT_EQ(b.tasks()[1].id, 4u);
+  EXPECT_FALSE(b.readmit(make_task(2, msec(1), t0 + msec(50))));  // pending
+  for (const Task& t : culled) EXPECT_TRUE(b.readmit(t));
+  ASSERT_EQ(b.size(), 5u);
+  EXPECT_EQ(b.tasks()[2].id, 1u);  // readmission appends
+}
+
+TEST(BatchTest, RemoveMarkedRequiresOneFlagPerTask) {
+  Batch b;
+  b.merge_arrivals({make_task(1, msec(1), SimTime{1000000}),
+                    make_task(2, msec(1), SimTime{1000000})});
+  EXPECT_THROW(b.remove_marked({1}), InvalidArgument);
+  EXPECT_THROW(b.remove_marked({1, 0, 0}), InvalidArgument);
+  EXPECT_EQ(b.size(), 2u);  // nothing removed
 }
 
 }  // namespace
