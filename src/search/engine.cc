@@ -48,9 +48,10 @@ struct NodeWide {
 static_assert(sizeof(NodeNarrow) <= 56);
 static_assert(sizeof(NodeWide) <= 64);
 
-/// Pool bound retained between runs per node arena: a million-task run can
-/// legitimately grow the arena to hundreds of MB, which must not stay
-/// captive on a long-lived backend thread once the phase is over.
+/// Pool bound retained between runs per node arena and for the workspace's
+/// partial schedule: a million-task run can legitimately grow the arena to
+/// hundreds of MB (and the schedule to tens), which must not stay captive
+/// on a long-lived backend thread once the phase is over.
 constexpr std::size_t kArenaRetainBytes = std::size_t{64} << 20;
 
 /// Growable pooled node arena: fixed-size chunks, never a realloc-copy, so
@@ -208,8 +209,10 @@ struct Workspace {
   std::vector<Candidate> candidates;
   std::vector<CandidateList::Entry> cl_entries;
   std::vector<tasks::ProcessorId> level_order;
-  std::vector<std::uint32_t> task_ids;
   std::vector<const Assignment*> chain;
+  /// The search's partial schedule, reset() at the start of every run so
+  /// its SoA constants, bitset and path keep their storage across phases.
+  PartialSchedule schedule;
   std::size_t peak_bytes{0};
 };
 
@@ -223,12 +226,13 @@ std::size_t workspace_bytes(const Workspace& ws) {
          ws.candidates.capacity() * sizeof(Candidate) +
          ws.cl_entries.capacity() * sizeof(CandidateList::Entry) +
          (ws.order.capacity() + ws.remap.capacity() +
-          ws.merge_input.capacity() + ws.task_ids.capacity()) *
+          ws.merge_input.capacity()) *
              sizeof(std::uint32_t) +
          (ws.ids.capacity() + ws.next_ids.capacity()) *
              sizeof(tasks::TaskId) +
          (ws.keys.capacity() + ws.next_keys.capacity()) *
-             sizeof(std::int64_t);
+             sizeof(std::int64_t) +
+         ws.schedule.footprint_bytes();
 }
 
 /// Fills the consideration-order key of every task, by batch position: the
@@ -365,8 +369,8 @@ SearchResult run_impl(const SearchConfig& config,
     order = ws.order.data();
   }
 
-  PartialSchedule ps(&batch, base_loads, delivery_time, &net);
-  ps.set_consideration_order(order);
+  PartialSchedule& ps = ws.schedule;
+  ps.reset(&batch, base_loads, delivery_time, &net, order);
 
   arena.clear();
   CandidateList cl(config.strategy, ws.cl_entries);
@@ -389,8 +393,7 @@ SearchResult run_impl(const SearchConfig& config,
   std::vector<Candidate>& candidates = ws.candidates;
   const auto expand_current = [&](std::uint32_t cursor) {
     cursor = detail::expand_vertex(config, ps, batch, m, cursor, budget_left,
-                                   stats, candidates, ws.level_order,
-                                   ws.task_ids);
+                                   stats, candidates, ws.level_order);
     // Push worst-first so the best candidate ends on top of the stack
     // (front of CL).
     const auto depth = static_cast<typename NodeT::DepthType>(ps.depth() + 1);
@@ -474,6 +477,7 @@ SearchResult run_impl(const SearchConfig& config,
 
   ws.peak_bytes = std::max(ws.peak_bytes, workspace_bytes(ws));
   arena.trim(kArenaRetainBytes);
+  if (ps.footprint_bytes() > kArenaRetainBytes) ps = PartialSchedule();
   return result;
 }
 

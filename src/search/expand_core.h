@@ -16,6 +16,9 @@
 //     max_successors cap, plus PartialSchedule::workers_mask_eligible;
 //   * per-word batches (sequence-oriented) need budget_left >= popcount of
 //     the word and no cap, plus PartialSchedule::tasks_mask_eligible.
+// Both loops address tasks by consideration-order position (the layout of
+// PartialSchedule's SoA constants), so neither chases the order permutation
+// on the way to a verdict.
 // Outside the gates the scalar loop runs unchanged, so SearchResults stay
 // bit-identical to the pre-SIMD engine in every configuration.
 #pragma once
@@ -52,10 +55,12 @@ struct Candidate {
 /// heuristics produce, and no temp-buffer allocation (std::stable_sort
 /// allocates one per call in libstdc++). Falls back to std::sort for large
 /// groups — safe because candidate keys are strictly totally ordered within
-/// a group, so every comparison sort yields the same permutation.
+/// a group, so every comparison sort yields the same permutation — unless
+/// the group is already sorted, as sequence-oriented groups (keyed by branch
+/// index) are when generated.
 inline void sort_candidates(std::vector<Candidate>& c) {
   if (c.size() > 48) {
-    std::sort(c.begin(), c.end());
+    if (!std::is_sorted(c.begin(), c.end())) std::sort(c.begin(), c.end());
     return;
   }
   for (std::size_t i = 1; i < c.size(); ++i) {
@@ -104,8 +109,7 @@ inline Candidate make_candidate(const SearchConfig& config,
 
 /// One expansion of the vertex `ps` currently ends at. Appends the sorted
 /// feasible successors to `out` and returns the order cursor children
-/// inherit. `level_order` and `task_ids` are caller-owned scratch (reused
-/// across calls; task_ids feeds the simd task-mask lanes).
+/// inherit. `level_order` is caller-owned scratch (reused across calls).
 inline std::uint32_t expand_vertex(const SearchConfig& config,
                                    PartialSchedule& ps,
                                    const std::vector<Task>& batch,
@@ -113,8 +117,7 @@ inline std::uint32_t expand_vertex(const SearchConfig& config,
                                    std::uint64_t& budget_left,
                                    SearchStats& stats,
                                    std::vector<Candidate>& out,
-                                   std::vector<ProcessorId>& level_order,
-                                   std::vector<std::uint32_t>& task_ids) {
+                                   std::vector<ProcessorId>& level_order) {
   ++stats.expansions;
   out.clear();
   const auto n = static_cast<std::uint32_t>(batch.size());
@@ -141,14 +144,13 @@ inline std::uint32_t expand_vertex(const SearchConfig& config,
       // Find the next unassigned task at or after `scan`.
       scan = ps.first_unassigned_at_or_after(scan);
       if (scan == n) break;
-      const std::uint32_t task = ps.task_at(scan);
-      if (ps.task_unplaceable(task, lo)) {
+      if (ps.unplaceable_at(scan, lo)) {
         const std::uint64_t charged = std::min<std::uint64_t>(m, budget_left);
         budget_left -= charged;
         stats.vertices_generated += charged;
         if (charged < m) stats.budget_exhausted = true;
       } else if (config.max_successors == 0 && budget_left >= m &&
-                 ps.workers_mask_eligible(task)) {
+                 ps.workers_mask_eligible_at(scan)) {
         // Batched Fig. 4 test across all m workers at once. The gates make
         // the accounting equal to the interleaved loop: the full group is
         // charged (no mid-task budget death possible) and no successor cap
@@ -156,13 +158,13 @@ inline std::uint32_t expand_vertex(const SearchConfig& config,
         // scalar to build the Assignment — single-sourced arithmetic.
         budget_left -= m;
         stats.vertices_generated += m;
-        std::uint64_t bits = ps.feasible_workers_mask(task);
+        std::uint64_t bits = ps.feasible_workers_mask_at(scan);
         Assignment a;
         while (bits != 0) {
           const auto k =
               static_cast<std::uint32_t>(std::countr_zero(bits));
           bits &= bits - 1;
-          const bool ok = ps.evaluate_fast(task, k, a);
+          const bool ok = ps.evaluate_fast_at(scan, k, a);
           RTDS_ASSERT(ok);
           (void)ok;
           out.push_back(make_candidate(config, ps, batch, a, k));
@@ -176,7 +178,7 @@ inline std::uint32_t expand_vertex(const SearchConfig& config,
           }
           --budget_left;
           ++stats.vertices_generated;
-          if (ps.evaluate_fast(task, k, a)) {
+          if (ps.evaluate_fast_at(scan, k, a)) {
             out.push_back(make_candidate(config, ps, batch, a, k));
             if (config.max_successors != 0 &&
                 out.size() >= config.max_successors) {
@@ -232,28 +234,22 @@ inline std::uint32_t expand_vertex(const SearchConfig& config,
             static_cast<std::uint32_t>(std::popcount(bits));
         if (batchable && budget_left >= count) {
           // Batched Fig. 4 test for this whole bitset word against the
-          // level's worker: up to 64 candidate tasks per kernel call. Same
-          // gates as the worker-mask path — the word is charged whole, so
-          // accounting matches the interleaved loop exactly; the j-th set
-          // bit carries branch index branch+j, exactly what the scalar
-          // loop would have assigned it.
-          task_ids.clear();
-          std::uint64_t scan_bits = bits;
-          while (scan_bits != 0) {
-            const auto pos = static_cast<std::uint32_t>(
-                (w << 6) + std::uint32_t(std::countr_zero(scan_bits)));
-            scan_bits &= scan_bits - 1;
-            task_ids.push_back(ps.task_at(pos));
-          }
+          // level's worker: 64 contiguous positions per kernel call, masked
+          // to the unassigned ones. Same gates as the worker-mask path — the
+          // word is charged whole, so accounting matches the interleaved
+          // loop exactly; the j-th set bit carries branch index branch+j,
+          // exactly what the scalar loop would have assigned it.
           budget_left -= count;
           stats.vertices_generated += count;
-          std::uint64_t feasible =
-              ps.feasible_tasks_mask(worker, task_ids.data(), count);
+          std::uint64_t feasible = ps.feasible_word_mask(worker, w) & bits;
           while (feasible != 0) {
-            const auto j =
+            const auto lane =
                 static_cast<std::uint32_t>(std::countr_zero(feasible));
             feasible &= feasible - 1;
-            const bool ok = ps.evaluate_fast(task_ids[j], worker, a);
+            const auto j = static_cast<std::uint32_t>(
+                std::popcount(bits & ((std::uint64_t{1} << lane) - 1)));
+            const bool ok = ps.evaluate_fast_at(
+                static_cast<std::uint32_t>((w << 6) + lane), worker, a);
             RTDS_ASSERT(ok);
             (void)ok;
             out.push_back(
@@ -266,7 +262,6 @@ inline std::uint32_t expand_vertex(const SearchConfig& config,
           const auto pos = static_cast<std::uint32_t>(
               (w << 6) + std::uint32_t(std::countr_zero(bits)));
           bits &= bits - 1;
-          const std::uint32_t i = ps.task_at(pos);
           if (budget_left == 0) {
             stats.budget_exhausted = true;
             stop = true;
@@ -274,7 +269,7 @@ inline std::uint32_t expand_vertex(const SearchConfig& config,
           }
           --budget_left;
           ++stats.vertices_generated;
-          if (ps.evaluate_fast(i, worker, a)) {
+          if (ps.evaluate_fast_at(pos, worker, a)) {
             out.push_back(make_candidate(config, ps, batch, a, branch));
             if (config.max_successors != 0 &&
                 out.size() >= config.max_successors) {

@@ -19,18 +19,24 @@
 //
 // Hot-path layout (see docs/ARCHITECTURE.md "Search hot path"): the search
 // charges its entire vertex budget through evaluate/push/pop, so this class
-// keeps flat structure-of-arrays state sized at construction and touches
-// nothing else:
+// keeps flat structure-of-arrays state and touches nothing else:
 //   * p_us_/es_us_/d_us_/aff_bits_/width_ — the per-task constants, one
-//     contiguous array per field in raw delivery-relative microseconds, so
-//     evaluation never dereferences the 56-byte Task and the search/simd.h
-//     kernels can gather lanes straight out of them;
+//     contiguous array per field in raw delivery-relative microseconds,
+//     stored by *consideration-order position* (slot pos holds the task at
+//     order[pos]), so evaluation never dereferences the 56-byte Task and the
+//     search/simd.h word kernel reads 64 positions as plain loads. The
+//     arrays are padded to whole bitset words; padding and stale lanes are
+//     never written, since the unassigned mask discards their verdicts;
 //   * ce_us_ — per-worker completion offsets (m contiguous 8-byte counts,
 //     the vector operand of the Fig. 4 worker-mask kernel);
-//   * unassigned_ — a 64-bit-word bitset over *consideration-order
-//     positions* (bit set = still unassigned), giving O(n/64) find-first
-//     scans instead of a std::vector<bool> walk, and supplying the lane
-//     batches for the task-mask kernel.
+//   * unassigned_ — a 64-bit-word bitset over consideration-order positions
+//     (bit set = still unassigned), giving O(n/64) find-first scans instead
+//     of a std::vector<bool> walk, and selecting the live lanes of the word
+//     kernel.
+// The object is built to be reused: reset() refills it for the next phase
+// in one pass over the batch, reusing every buffer it already holds, so a
+// long-lived schedule (the search engine keeps one per thread) allocates
+// only when a batch outgrows all earlier ones.
 // Backtracking is O(1): every Assignment carries the undo values prev_ce and
 // prev_max_ce, so pop() restores both the worker's queue and CE without the
 // historical O(m) rescan.
@@ -85,34 +91,44 @@ class PartialSchedule {
     std::uint32_t workers_required{1};
   };
 
-  /// `batch` must outlive this object and must not be mutated while it is
-  /// in use: task parameters are snapshotted into the per-task constants at
-  /// construction (delivery-relative offsets can only be precomputed once).
-  /// `base_loads[k]` is the worker's residual load at delivery time:
-  /// max(0, Load_k(j-1) - Q_s(j)). `delivery_time` is t_s + Q_s(j), the
-  /// time the schedule will reach the ready queues. `net` prices c_lk.
-  PartialSchedule(const std::vector<Task>* batch,
-                  std::vector<SimDuration> base_loads, SimTime delivery_time,
-                  const machine::Interconnect* net);
+  /// An empty schedule holding no batch; reset() before any other use.
+  PartialSchedule() = default;
 
-  /// Declares the consideration order the search iterates tasks in, so the
-  /// unassigned bitset lives in order-position space and find-first scans
-  /// return positions in heuristic order. `order` must be a permutation of
-  /// [0, batch_size) that outlives this object, or nullptr for the identity
-  /// order (the kBatchOrder fast path — no index vector needed at all).
-  /// Must be called before the first push.
+  /// Equivalent to a default-constructed schedule reset() with the identity
+  /// consideration order.
+  PartialSchedule(const std::vector<Task>* batch,
+                  const std::vector<SimDuration>& base_loads,
+                  SimTime delivery_time, const machine::Interconnect* net);
+
+  /// Re-targets this schedule at a new phase: an empty path over `batch`,
+  /// reusing the storage it already holds. `batch` must outlive every later
+  /// use and must not be mutated meanwhile: task parameters are snapshotted
+  /// into the per-task constants here (delivery-relative offsets can only be
+  /// precomputed once). `base_loads[k]` is the worker's residual load at
+  /// delivery time: max(0, Load_k(j-1) - Q_s(j)). `delivery_time` is
+  /// t_s + Q_s(j), the time the schedule will reach the ready queues. `net`
+  /// prices c_lk. `order` is the consideration order the search iterates
+  /// tasks in — a permutation of [0, batch_size) that outlives every later
+  /// use — or nullptr for the identity order (the kBatchOrder fast path: no
+  /// index vector at all). Positions, not task indices, key the unassigned
+  /// bitset and the SoA constants, so find-first scans return positions in
+  /// heuristic order.
+  void reset(const std::vector<Task>* batch,
+             const std::vector<SimDuration>& base_loads,
+             SimTime delivery_time, const machine::Interconnect* net,
+             const std::uint32_t* order);
+
+  /// Re-declares the consideration order of the current batch (same
+  /// contract as reset()'s `order`). Must be called before the first push.
   void set_consideration_order(const std::uint32_t* order);
 
   [[nodiscard]] std::uint32_t depth() const {
     return static_cast<std::uint32_t>(path_.size());
   }
-  [[nodiscard]] std::uint32_t batch_size() const {
-    return static_cast<std::uint32_t>(batch_->size());
-  }
-  [[nodiscard]] bool complete() const { return depth() == batch_size(); }
+  [[nodiscard]] std::uint32_t batch_size() const { return n_; }
+  [[nodiscard]] bool complete() const { return depth() == n_; }
   [[nodiscard]] bool assigned(std::uint32_t task_index) const {
-    const std::uint32_t pos =
-        pos_of_task_.empty() ? task_index : pos_of_task_[task_index];
+    const std::uint32_t pos = pos_of(task_index);
     return ((unassigned_[pos >> 6] >> (pos & 63)) & 1u) == 0;
   }
   [[nodiscard]] SimTime delivery_time() const { return delivery_time_; }
@@ -153,40 +169,28 @@ class PartialSchedule {
         ce_us_.data(), static_cast<std::uint32_t>(ce_us_.size()))};
   }
 
-  /// Lower-bound infeasibility test over ALL workers at once: end offsets
-  /// are >= max(min_ce, es_off) + p (communication cost is non-negative),
-  /// so when that bound already misses the deadline every one of the m
-  /// placements is infeasible and the engine can charge the budget without
-  /// evaluating each. `min_ce` must be this schedule's current min_ce().
-  /// Sound for gangs too: a gang's start is the max completion offset over
-  /// its worker block, which is >= min_ce, and the structurally invalid
-  /// leads (block past worker m) are infeasible by definition.
-  [[nodiscard]] bool task_unplaceable(std::uint32_t task_index,
-                                      SimDuration min_ce) const {
-    const std::int64_t es = es_us_[task_index];
+  /// Lower-bound infeasibility test over ALL workers at once for the task
+  /// at position `pos`: end offsets are >= max(min_ce, es_off) + p
+  /// (communication cost is non-negative), so when that bound already
+  /// misses the deadline every one of the m placements is infeasible and
+  /// the engine can charge the budget without evaluating each. `min_ce`
+  /// must be this schedule's current min_ce(). Sound for gangs too: a
+  /// gang's start is the max completion offset over its worker block, which
+  /// is >= min_ce, and the structurally invalid leads (block past worker m)
+  /// are infeasible by definition.
+  [[nodiscard]] bool unplaceable_at(std::uint32_t pos,
+                                    SimDuration min_ce) const {
+    const std::int64_t es = es_us_[pos];
     const std::int64_t start = min_ce.us > es ? min_ce.us : es;
-    return start + p_us_[task_index] > d_us_[task_index];
+    return start + p_us_[pos] > d_us_[pos];
   }
 
   /// Assembled per-task constants (by value — storage is SoA).
   [[nodiscard]] TaskConstants constants(std::uint32_t task_index) const {
-    return TaskConstants{p_us_[task_index], es_us_[task_index],
-                         d_us_[task_index], aff_bits_[task_index],
-                         width_[task_index]};
+    const std::uint32_t pos = pos_of(task_index);
+    return TaskConstants{p_us_[pos], es_us_[pos], d_us_[pos], aff_bits_[pos],
+                         width_[pos]};
   }
-
-  /// Direct SoA field reads for the hot loops.
-  [[nodiscard]] std::int64_t processing_us(std::uint32_t i) const {
-    return p_us_[i];
-  }
-  [[nodiscard]] std::int64_t d_off_us(std::uint32_t i) const {
-    return d_us_[i];
-  }
-  [[nodiscard]] std::uint32_t workers_required(std::uint32_t i) const {
-    return width_[i];
-  }
-  /// True when any task in the batch is a gang (width > 1).
-  [[nodiscard]] bool has_gangs() const { return has_gangs_; }
 
   // -- simd batch evaluation (search/simd.h) ---------------------------------
   // Both mask kernels compute EXACTLY the per-lane verdicts evaluate_fast
@@ -194,40 +198,45 @@ class PartialSchedule {
   // batched path; outside them it falls back to the scalar loop, so results
   // stay bit-identical either way.
 
-  /// True when feasible_workers_mask(task) is exact for this task: constant
-  /// cut-through communication (no per-worker comm_cost calls), width 1 (no
-  /// block scan), and a non-empty affinity (evaluate_fast would REQUIRE on
-  /// an empty one — the mask path must not mask that bug).
+  /// True when feasible_workers_mask_at(pos) is exact for the task at `pos`:
+  /// constant cut-through communication (no per-worker comm_cost calls),
+  /// width 1 (no block scan), and a non-empty affinity (evaluate_fast would
+  /// REQUIRE on an empty one — the mask path must not mask that bug).
+  [[nodiscard]] bool workers_mask_eligible_at(std::uint32_t pos) const {
+    return cut_through_ && width_[pos] == 1 && aff_bits_[pos] != 0;
+  }
   [[nodiscard]] bool workers_mask_eligible(std::uint32_t task_index) const {
-    return cut_through_ && width_[task_index] == 1 &&
-           aff_bits_[task_index] != 0;
+    return workers_mask_eligible_at(pos_of(task_index));
   }
 
-  /// Bit k set iff evaluate_fast(task_index, k) would be feasible, for every
-  /// worker k at once. Preconditions: workers_mask_eligible(task_index).
+  /// Bit k set iff evaluate_fast_at(pos, k) would be feasible, for every
+  /// worker k at once. Precondition: workers_mask_eligible_at(pos).
+  [[nodiscard]] std::uint64_t feasible_workers_mask_at(
+      std::uint32_t pos) const {
+    return simd::feasible_workers_mask(
+        ce_us_.data(), static_cast<std::uint32_t>(ce_us_.size()), p_us_[pos],
+        es_us_[pos], d_us_[pos], comm_us_, aff_bits_[pos]);
+  }
   [[nodiscard]] std::uint64_t feasible_workers_mask(
       std::uint32_t task_index) const {
-    return simd::feasible_workers_mask(
-        ce_us_.data(), static_cast<std::uint32_t>(ce_us_.size()),
-        p_us_[task_index], es_us_[task_index], d_us_[task_index], comm_us_,
-        aff_bits_[task_index]);
+    return feasible_workers_mask_at(pos_of(task_index));
   }
 
-  /// True when feasible_tasks_mask is exact for this whole batch: constant
-  /// cut-through communication and no gangs anywhere (the per-word batches
-  /// come off the unassigned bitset, which doesn't know widths). Individual
+  /// True when feasible_word_mask is exact for this whole batch: constant
+  /// cut-through communication and no gangs anywhere (the word lanes come
+  /// off the unassigned bitset, which doesn't know widths). Individual
   /// tasks must additionally have non-empty affinities — guaranteed by the
   /// workload layer and asserted in debug builds.
   [[nodiscard]] bool tasks_mask_eligible() const {
     return cut_through_ && !has_gangs_;
   }
 
-  /// Bit j set iff evaluate_fast(tasks[j], worker) would be feasible.
-  /// `tasks` holds `count` <= 64 unassigned task ids. Preconditions:
-  /// tasks_mask_eligible().
-  [[nodiscard]] std::uint64_t feasible_tasks_mask(
-      ProcessorId worker, const std::uint32_t* tasks,
-      std::uint32_t count) const;
+  /// Bit j set iff evaluate_fast_at(64 * word + j, worker) would be
+  /// feasible, for every position j of bitset word `word`. Only the bits
+  /// of unassigned positions mean anything: callers AND the result with
+  /// unassigned_words()[word]. Precondition: tasks_mask_eligible().
+  [[nodiscard]] std::uint64_t feasible_word_mask(ProcessorId worker,
+                                                 std::size_t word) const;
 
   /// Evaluates the candidate vertex (T_l -> P_k): computes cost and end
   /// offset, and applies the feasibility test of Fig. 4. Returns nullopt
@@ -236,12 +245,18 @@ class PartialSchedule {
       std::uint32_t task_index, ProcessorId worker) const;
 
   /// Precondition-free evaluation core for the search hot loop: same
-  /// arithmetic and feasibility test as evaluate(), but writes into `out`
-  /// (no optional) and validates nothing beyond debug assertions. Returns
-  /// true when feasible. Callers must guarantee task_index/worker are in
-  /// range and the task is unassigned.
+  /// arithmetic and feasibility test as evaluate(), for the task at
+  /// consideration-order position `pos`, but writes into `out` (no
+  /// optional) and validates nothing beyond debug assertions. Returns true
+  /// when feasible. Callers must guarantee pos/worker are in range and the
+  /// task is unassigned.
+  bool evaluate_fast_at(std::uint32_t pos, ProcessorId worker,
+                        Assignment& out) const;
+  /// evaluate_fast_at() addressed by task index.
   bool evaluate_fast(std::uint32_t task_index, ProcessorId worker,
-                     Assignment& out) const;
+                     Assignment& out) const {
+    return evaluate_fast_at(pos_of(task_index), worker, out);
+  }
 
   /// Extends the path by `a` (which must have come from evaluate() at the
   /// current state).
@@ -256,24 +271,27 @@ class PartialSchedule {
   /// Assignments along the current path, in path order.
   [[nodiscard]] const std::vector<Assignment>& path() const { return path_; }
 
-  /// Bytes of heap state this schedule holds (SoA constants, bitset, path) —
-  /// for the bench memory column.
+  /// Bytes of heap storage this schedule holds (SoA constants, bitset,
+  /// path), counted by capacity — for the bench memory column.
   [[nodiscard]] std::size_t footprint_bytes() const;
 
  private:
   [[nodiscard]] std::uint32_t pos_of(std::uint32_t task_index) const {
-    return pos_of_task_.empty() ? task_index : pos_of_task_[task_index];
+    return order_ == nullptr ? task_index : pos_of_task_[task_index];
   }
-  void reset_unassigned_bits();
+  /// The one fill of the per-task state: SoA constants, pos_of_task_ and
+  /// the unassigned bitset for the current batch under `order`.
+  void fill(const std::uint32_t* order);
 
-  const std::vector<Task>* batch_;
-  const machine::Interconnect* net_;
-  SimTime delivery_time_;
-  std::vector<SimDuration> base_loads_;
+  const std::vector<Task>* batch_{nullptr};
+  const machine::Interconnect* net_{nullptr};
+  SimTime delivery_time_{SimTime::zero()};
+  std::uint32_t n_{0};
   /// Per-worker completion offsets in raw microseconds (SoA hot vector).
   std::vector<std::int64_t> ce_us_;
   std::int64_t max_ce_us_{0};
-  // Per-task constants, one contiguous array per field (SoA).
+  // Per-task constants by consideration-order position, one contiguous
+  // array per field (SoA), padded to whole bitset words.
   std::vector<std::int64_t> p_us_;
   std::vector<std::int64_t> es_us_;
   std::vector<std::int64_t> d_us_;
@@ -284,8 +302,8 @@ class PartialSchedule {
   std::int64_t comm_us_{0};  ///< constant C (cut-through model only)
   /// Bit (per consideration-order position) set while unassigned.
   std::vector<std::uint64_t> unassigned_;
-  const std::uint32_t* order_{nullptr};        ///< nullptr = identity
-  std::vector<std::uint32_t> pos_of_task_;     ///< empty = identity
+  const std::uint32_t* order_{nullptr};     ///< nullptr = identity
+  std::vector<std::uint32_t> pos_of_task_;  ///< unused under identity
   std::vector<Assignment> path_;
   /// Sibling undo values for gang assignments: push() of a k-worker gang
   /// appends the k-1 pre-push completion offsets of workers

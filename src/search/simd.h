@@ -5,9 +5,11 @@
 //   feasible_workers_mask — one candidate task against all m workers
 //                           (assignment-oriented expansion; lanes are
 //                           workers, the ce_k vector streams in).
-//   feasible_tasks_mask   — one worker against a word of candidate tasks
+//   feasible_word_mask    — one worker against the 64 consideration-order
+//                           positions of one unassigned-bitset word
 //                           (sequence-oriented expansion; lanes are tasks,
-//                           the SoA constants arrays are gathered).
+//                           read contiguously from the position-ordered SoA
+//                           constants).
 //   max_i64 / min_i64     — the CE = max_k ce_k load scan and its min
 //                           (cursor-hoist) twin.
 //
@@ -79,22 +81,24 @@ namespace rtds::search::simd {
   return mask;
 }
 
-/// Bit j set iff tasks[j] fits on `worker` (whose load is ce_w):
-/// max(ce_w, es[t]) + p[t] + ((aff[t] >> worker) & 1 ? 0 : comm) <= d[t].
-/// p/es/d/aff are the SoA constants arrays indexed by task id; `tasks`
-/// holds `count` <= 64 task ids.
-[[nodiscard]] inline std::uint64_t feasible_tasks_mask_scalar(
-    const std::uint32_t* tasks, std::uint32_t count, std::int64_t ce_w,
-    std::uint32_t worker, const std::int64_t* p_us, const std::int64_t* es_us,
-    const std::int64_t* d_us, const std::uint64_t* aff_bits,
-    std::int64_t comm_us) {
+/// Lanes of feasible_word_mask: one 64-bit unassigned-bitset word.
+inline constexpr std::uint32_t kWordLanes = 64;
+
+/// Bit j set iff lane j fits on `worker` (whose load is ce_w):
+/// max(ce_w, es[j]) + p[j] + ((aff[j] >> worker) & 1 ? 0 : comm) <= d[j].
+/// p/es/d/aff point at kWordLanes contiguous lanes of the SoA constants
+/// arrays (one bitset word of consideration-order positions); every lane is
+/// read and tested, and callers discard the bits of lanes they don't want.
+[[nodiscard]] inline std::uint64_t feasible_word_mask_scalar(
+    std::int64_t ce_w, std::uint32_t worker, const std::int64_t* p_us,
+    const std::int64_t* es_us, const std::int64_t* d_us,
+    const std::uint64_t* aff_bits, std::int64_t comm_us) {
   std::uint64_t mask = 0;
-  for (std::uint32_t j = 0; j < count; ++j) {
-    const std::uint32_t t = tasks[j];
+  for (std::uint32_t j = 0; j < kWordLanes; ++j) {
     const std::int64_t comm =
-        ((aff_bits[t] >> worker) & 1u) != 0 ? 0 : comm_us;
-    const std::int64_t start = ce_w > es_us[t] ? ce_w : es_us[t];
-    if (start + p_us[t] + comm <= d_us[t]) mask |= std::uint64_t{1} << j;
+        ((aff_bits[j] >> worker) & 1u) != 0 ? 0 : comm_us;
+    const std::int64_t start = ce_w > es_us[j] ? ce_w : es_us[j];
+    mask |= std::uint64_t{start + p_us[j] + comm <= d_us[j]} << j;
   }
   return mask;
 }
@@ -184,44 +188,34 @@ namespace detail {
   return mask;
 }
 
-[[nodiscard]] inline std::uint64_t feasible_tasks_mask(
-    const std::uint32_t* tasks, std::uint32_t count, std::int64_t ce_w,
-    std::uint32_t worker, const std::int64_t* p_us, const std::int64_t* es_us,
-    const std::int64_t* d_us, const std::uint64_t* aff_bits,
-    std::int64_t comm_us) {
+[[nodiscard]] inline std::uint64_t feasible_word_mask(
+    std::int64_t ce_w, std::uint32_t worker, const std::int64_t* p_us,
+    const std::int64_t* es_us, const std::int64_t* d_us,
+    const std::uint64_t* aff_bits, std::int64_t comm_us) {
   std::uint64_t mask = 0;
   const __m256i ce_v = _mm256_set1_epi64x(ce_w);
   const __m256i comm_v = _mm256_set1_epi64x(comm_us);
   const __m256i one_v = _mm256_set1_epi64x(1);
   const __m128i shift_v = _mm_cvtsi32_si128(static_cast<int>(worker));
-  std::uint32_t j = 0;
-  for (; j + 4 <= count; j += 4) {
-    const __m128i t_v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(tasks + j));
-    const __m256i p_g = _mm256_i32gather_epi64(
-        reinterpret_cast<const long long*>(p_us), t_v, 8);
-    const __m256i es_g = _mm256_i32gather_epi64(
-        reinterpret_cast<const long long*>(es_us), t_v, 8);
-    const __m256i d_g = _mm256_i32gather_epi64(
-        reinterpret_cast<const long long*>(d_us), t_v, 8);
-    const __m256i aff_g = _mm256_i32gather_epi64(
-        reinterpret_cast<const long long*>(aff_bits), t_v, 8);
+  for (std::uint32_t j = 0; j < kWordLanes; j += 4) {
+    const __m256i p_v =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p_us + j));
+    const __m256i es_v =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(es_us + j));
+    const __m256i d_v =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(d_us + j));
+    const __m256i aff_v =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(aff_bits + j));
     const __m256i bit_v =
-        _mm256_and_si256(_mm256_srl_epi64(aff_g, shift_v), one_v);
+        _mm256_and_si256(_mm256_srl_epi64(aff_v, shift_v), one_v);
     const __m256i no_aff_v = _mm256_cmpeq_epi64(bit_v, _mm256_setzero_si256());
     const __m256i c_v = _mm256_and_si256(no_aff_v, comm_v);
-    const __m256i start_v = detail::max_epi64(ce_v, es_g);
+    const __m256i start_v = detail::max_epi64(ce_v, es_v);
     const __m256i end_v =
-        _mm256_add_epi64(_mm256_add_epi64(start_v, p_g), c_v);
-    const std::uint32_t bad = detail::movemask_epi64(_mm256_cmpgt_epi64(end_v, d_g));
+        _mm256_add_epi64(_mm256_add_epi64(start_v, p_v), c_v);
+    const std::uint32_t bad =
+        detail::movemask_epi64(_mm256_cmpgt_epi64(end_v, d_v));
     mask |= static_cast<std::uint64_t>(~bad & 0xFu) << j;
-  }
-  for (; j < count; ++j) {
-    const std::uint32_t t = tasks[j];
-    const std::int64_t comm =
-        ((aff_bits[t] >> worker) & 1u) != 0 ? 0 : comm_us;
-    const std::int64_t start = ce_w > es_us[t] ? ce_w : es_us[t];
-    if (start + p_us[t] + comm <= d_us[t]) mask |= std::uint64_t{1} << j;
   }
   return mask;
 }
@@ -303,15 +297,13 @@ namespace detail {
   return mask;
 }
 
-[[nodiscard]] inline std::uint64_t feasible_tasks_mask(
-    const std::uint32_t* tasks, std::uint32_t count, std::int64_t ce_w,
-    std::uint32_t worker, const std::int64_t* p_us, const std::int64_t* es_us,
-    const std::int64_t* d_us, const std::uint64_t* aff_bits,
-    std::int64_t comm_us) {
-  // NEON has no gather; the scalar loop autovectorizes poorly here anyway,
-  // so lean on the reference kernel.
-  return feasible_tasks_mask_scalar(tasks, count, ce_w, worker, p_us, es_us,
-                                    d_us, aff_bits, comm_us);
+[[nodiscard]] inline std::uint64_t feasible_word_mask(
+    std::int64_t ce_w, std::uint32_t worker, const std::int64_t* p_us,
+    const std::int64_t* es_us, const std::int64_t* d_us,
+    const std::uint64_t* aff_bits, std::int64_t comm_us) {
+  // Two-lane NEON buys little over the reference loop here; lean on it.
+  return feasible_word_mask_scalar(ce_w, worker, p_us, es_us, d_us, aff_bits,
+                                   comm_us);
 }
 
 [[nodiscard]] inline std::int64_t max_i64(const std::int64_t* v,
@@ -352,13 +344,12 @@ namespace detail {
                                       aff_bits);
 }
 
-[[nodiscard]] inline std::uint64_t feasible_tasks_mask(
-    const std::uint32_t* tasks, std::uint32_t count, std::int64_t ce_w,
-    std::uint32_t worker, const std::int64_t* p_us, const std::int64_t* es_us,
-    const std::int64_t* d_us, const std::uint64_t* aff_bits,
-    std::int64_t comm_us) {
-  return feasible_tasks_mask_scalar(tasks, count, ce_w, worker, p_us, es_us,
-                                    d_us, aff_bits, comm_us);
+[[nodiscard]] inline std::uint64_t feasible_word_mask(
+    std::int64_t ce_w, std::uint32_t worker, const std::int64_t* p_us,
+    const std::int64_t* es_us, const std::int64_t* d_us,
+    const std::uint64_t* aff_bits, std::int64_t comm_us) {
+  return feasible_word_mask_scalar(ce_w, worker, p_us, es_us, d_us, aff_bits,
+                                   comm_us);
 }
 
 [[nodiscard]] inline std::int64_t max_i64(const std::int64_t* v,

@@ -15,11 +15,13 @@
 #include <cstdint>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "machine/interconnect.h"
 #include "search/engine.h"
+#include "search/partial_schedule.h"
 #include "search/reference_engine.h"
 
 namespace rtds::search {
@@ -271,6 +273,32 @@ TEST(SearchCapacityTest, WorkspacePeakTracksWideRuns) {
       s.vertex_budget);
   EXPECT_GE(thread_workspace_peak_bytes(), thread_workspace_bytes());
   EXPECT_GT(thread_workspace_peak_bytes(), 0u);
+}
+
+TEST(SearchCapacityTest, WorkspaceBytesIncludeTheRetainedSchedule) {
+  // The engine keeps its PartialSchedule in the thread's workspace across
+  // runs, so the workspace byte count must include that schedule's
+  // storage. At n=65536 the schedule's SoA constants and path reserve are
+  // several MB, far more than the node arena of a 1000-vertex run; batch
+  // order keeps the order-carrying vectors out of the sum, and a fresh
+  // thread starts from an empty workspace whatever ran before.
+  Xoshiro256ss rng(0x5C4ED01EULL);
+  Scenario s = make_capacity_scenario(rng, 65536, 2);
+  s.vertex_budget = 1000;
+  SearchConfig cfg;
+  cfg.task_order = TaskOrder::kBatchOrder;
+  const auto net = machine::Interconnect::cut_through(s.num_workers, s.comm);
+  std::size_t bytes = 0;
+  std::size_t peak = 0;
+  std::thread([&] {
+    (void)SearchEngine(cfg).run(s.batch, s.base_loads, s.delivery_time, net,
+                                s.vertex_budget);
+    bytes = thread_workspace_bytes();
+    peak = thread_workspace_peak_bytes();
+  }).join();
+  const PartialSchedule fresh(&s.batch, s.base_loads, s.delivery_time, &net);
+  EXPECT_GE(bytes, fresh.footprint_bytes());
+  EXPECT_GE(peak, bytes);
 }
 
 }  // namespace

@@ -338,6 +338,64 @@ TEST(SearchEquivalenceTest, BitIdenticalOverPipelineShapedBatchSequences) {
   }
 }
 
+TEST(SearchEquivalenceTest, DColsSequencesAcrossWordBoundaries) {
+  // D-COLS-shaped phases (sequence-oriented, EDF, no cost function) on one
+  // engine, with batch sizes stepping up and down across unassigned-bitset
+  // word boundaries. The thread's schedule is reused between runs, so after
+  // a shrink it holds stale lanes past the live ones; the word kernel reads
+  // them and the unassigned mask must discard their verdicts.
+  constexpr std::uint32_t kWorkers = 4;
+  const auto net = machine::Interconnect::cut_through(kWorkers, usec(300));
+  const std::vector<SimDuration> loads(kWorkers, SimDuration::zero());
+  const std::uint32_t sizes[] = {129, 128, 65, 64, 63, 64, 65, 129,
+                                 63,  128, 1,  129, 65, 128, 64, 129};
+  Xoshiro256ss rng(0xDC015EEDULL);
+  std::uint64_t steps = 0;
+  for (const auto level : {LevelProcessorOrder::kRoundRobin,
+                           LevelProcessorOrder::kLeastLoaded}) {
+    SearchConfig cfg;
+    cfg.representation = Representation::kSequenceOriented;
+    cfg.task_order = TaskOrder::kEarliestDeadline;
+    cfg.use_load_balance_cost = false;
+    cfg.level_processor_order = level;
+    const SearchEngine engine(cfg);
+    tasks::TaskId next_id = 0;
+    std::vector<Task> batch;
+    std::vector<std::uint8_t> gone;
+    for (int rep = 0; rep < 3; ++rep) {
+      for (const std::uint32_t size : sizes) {
+        // The pipeline's next batch: scheduled tasks retired in order,
+        // random others dropped to fit `size`, then arrivals to fill it.
+        std::vector<Task> next;
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          if (!gone[i]) next.push_back(batch[i]);
+        }
+        while (next.size() > size) {
+          next.erase(next.begin() +
+                     rng.uniform_int(0, std::int64_t(next.size()) - 1));
+        }
+        while (next.size() < size) {
+          next.push_back(tied_task(rng, next_id++, kWorkers));
+        }
+        batch = std::move(next);
+
+        // Budgets from mid-word death to whole-word batches.
+        const auto budget = rng.bernoulli(0.3)
+                                ? std::uint64_t(rng.uniform_int(1, 200))
+                                : std::uint64_t(rng.uniform_int(200, 20000));
+        const SearchResult fast =
+            engine.run(batch, loads, SimTime::zero(), net, budget);
+        const SearchResult ref =
+            reference::run(cfg, batch, loads, SimTime::zero(), net, budget);
+        expect_identical(fast, ref, cfg, steps++);
+        if (HasFatalFailure()) return;
+        gone.assign(batch.size(), 0);
+        for (const Assignment& a : fast.schedule) gone[a.task_index] = 1;
+      }
+    }
+  }
+}
+
 TEST(SearchEquivalenceTest, EmptyBatchAndZeroBudgetMatch) {
   const auto net = machine::Interconnect::cut_through(2, msec(1));
   const SearchConfig cfg;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/error.h"
 #include "common/rng.h"
 
@@ -230,6 +234,154 @@ TEST(PartialSchedulePropertyTest, RandomPushPopKeepsInvariants) {
       }
       ASSERT_EQ(ps.max_ce(), expect_max);
       ASSERT_EQ(ps.depth(), stack.size());
+    }
+  }
+}
+
+/// Fields of two assignments agree (Assignment has no operator==).
+void expect_same_assignment(const Assignment& a, const Assignment& b) {
+  EXPECT_EQ(a.task_index, b.task_index);
+  EXPECT_EQ(a.worker, b.worker);
+  EXPECT_EQ(a.exec_cost, b.exec_cost);
+  EXPECT_EQ(a.prev_ce, b.prev_ce);
+  EXPECT_EQ(a.prev_max_ce, b.prev_max_ce);
+  EXPECT_EQ(a.start_offset, b.start_offset);
+  EXPECT_EQ(a.end_offset, b.end_offset);
+}
+
+/// Everything observable about two schedules over the same batch agrees:
+/// per-task constants, assignment state and evaluations, and the
+/// position scans.
+void expect_same_schedule(const PartialSchedule& reused,
+                          const PartialSchedule& fresh, std::uint32_t m) {
+  ASSERT_EQ(reused.batch_size(), fresh.batch_size());
+  ASSERT_EQ(reused.depth(), fresh.depth());
+  EXPECT_EQ(reused.max_ce(), fresh.max_ce());
+  for (std::uint32_t k = 0; k < m; ++k) EXPECT_EQ(reused.ce(k), fresh.ce(k));
+  const std::uint32_t n = fresh.batch_size();
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const auto a = reused.constants(i);
+    const auto b = fresh.constants(i);
+    EXPECT_EQ(a.processing_us, b.processing_us) << "task " << i;
+    EXPECT_EQ(a.es_off_us, b.es_off_us) << "task " << i;
+    EXPECT_EQ(a.d_off_us, b.d_off_us) << "task " << i;
+    EXPECT_EQ(a.affinity_bits, b.affinity_bits) << "task " << i;
+    EXPECT_EQ(a.workers_required, b.workers_required) << "task " << i;
+    ASSERT_EQ(reused.assigned(i), fresh.assigned(i)) << "task " << i;
+    if (fresh.assigned(i)) continue;
+    for (ProcessorId k = 0; k < m; ++k) {
+      const auto ea = reused.evaluate(i, k);
+      const auto eb = fresh.evaluate(i, k);
+      ASSERT_EQ(ea.has_value(), eb.has_value()) << "task " << i << " on " << k;
+      if (ea) expect_same_assignment(*ea, *eb);
+    }
+  }
+  for (std::uint32_t pos = 0; pos <= n; ++pos) {
+    EXPECT_EQ(reused.first_unassigned_at_or_after(pos),
+              fresh.first_unassigned_at_or_after(pos))
+        << "pos " << pos;
+    if (pos < n) {
+      EXPECT_EQ(reused.task_at(pos), fresh.task_at(pos));
+    }
+  }
+  // The word kernel reads whole words: stale lanes past the live ones (or
+  // of assigned positions) must not leak through the unassigned mask.
+  ASSERT_EQ(reused.unassigned_words(), fresh.unassigned_words());
+  if (fresh.tasks_mask_eligible()) {
+    const auto& words = fresh.unassigned_words();
+    for (ProcessorId k = 0; k < m; ++k) {
+      for (std::size_t w = 0; w < words.size(); ++w) {
+        EXPECT_EQ(reused.feasible_word_mask(k, w) & words[w],
+                  fresh.feasible_word_mask(k, w) & words[w])
+            << "word " << w << " worker " << k;
+      }
+    }
+  }
+}
+
+TEST(PartialScheduleTest, ResetReusedScheduleMatchesFreshOne) {
+  // A schedule reset() for the next phase — after pushes on a larger batch
+  // under a different consideration order — must be indistinguishable from
+  // one constructed fresh. Each new batch shrinks across a 64-task word
+  // boundary, so the reused arrays hold stale lanes past the live ones.
+  constexpr std::uint32_t kWorkers = 3;
+  const auto net = machine::Interconnect::cut_through(kWorkers, msec(1));
+  Xoshiro256ss rng(0x5E5E7ULL);
+  const auto make_batch = [&](std::uint32_t n) {
+    std::vector<Task> batch(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      batch[i].id = i;
+      batch[i].processing = rng.uniform_duration(usec(100), msec(3));
+      batch[i].deadline =
+          SimTime::zero() + rng.uniform_duration(msec(2), msec(60));
+      if (rng.bernoulli(0.3)) {
+        batch[i].earliest_start =
+            SimTime::zero() + rng.uniform_duration(usec(0), msec(20));
+      }
+      batch[i].affinity.add(static_cast<tasks::ProcessorId>(
+          rng.uniform_int(0, kWorkers - 1)));
+    }
+    return batch;
+  };
+  const auto shuffled = [&](std::uint32_t n) {
+    std::vector<std::uint32_t> order(n);
+    for (std::uint32_t i = 0; i < n; ++i) order[i] = i;
+    for (std::uint32_t i = n; i > 1; --i) {
+      std::swap(order[i - 1],
+                order[static_cast<std::uint32_t>(rng.uniform_int(0, i - 1))]);
+    }
+    return order;
+  };
+  // Pushes up to `count` feasible assignments, first fit in position order.
+  const auto push_some = [&](PartialSchedule& ps, std::uint32_t count) {
+    std::vector<Assignment> pushed;
+    for (std::uint32_t pos = 0; pos < ps.batch_size() && pushed.size() < count;
+         ++pos) {
+      for (ProcessorId k = 0; k < kWorkers; ++k) {
+        if (auto a = ps.evaluate(ps.task_at(pos), k)) {
+          ps.push(*a);
+          pushed.push_back(*a);
+          break;
+        }
+      }
+    }
+    return pushed;
+  };
+
+  const std::pair<std::uint32_t, std::uint32_t> shapes[] = {
+      {150, 100}, {70, 60}, {129, 64}, {65, 1}};
+  for (const auto& [big_n, small_n] : shapes) {
+    for (const bool identity : {false, true}) {
+      const auto big = make_batch(big_n);
+      const auto big_order = shuffled(big_n);
+      PartialSchedule reused(&big, {msec(2), SimDuration::zero(), msec(1)},
+                             SimTime::zero() + msec(1), &net);
+      reused.set_consideration_order(big_order.data());
+      (void)push_some(reused, 40);
+
+      const auto small = make_batch(small_n);
+      const auto small_order = shuffled(small_n);
+      const std::uint32_t* order = identity ? nullptr : small_order.data();
+      const std::vector<SimDuration> loads{SimDuration::zero(), msec(3),
+                                           usec(500)};
+      const SimTime delivery = SimTime::zero() + msec(2);
+      reused.reset(&small, loads, delivery, &net, order);
+      PartialSchedule fresh(&small, loads, delivery, &net);
+      fresh.set_consideration_order(order);
+      SCOPED_TRACE("shape " + std::to_string(big_n) + "->" +
+                   std::to_string(small_n) +
+                   (identity ? " identity" : " shuffled"));
+      expect_same_schedule(reused, fresh, kWorkers);
+
+      // The same pushes on both, then the same pops, keep them in step.
+      const auto pushed = push_some(fresh, 30);
+      for (const Assignment& a : pushed) reused.push(a);
+      expect_same_schedule(reused, fresh, kWorkers);
+      for (std::size_t i = 0; i < pushed.size() / 2; ++i) {
+        reused.pop();
+        fresh.pop();
+      }
+      expect_same_schedule(reused, fresh, kWorkers);
     }
   }
 }

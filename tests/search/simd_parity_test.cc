@@ -8,6 +8,7 @@
 //      schedules (the engine-facing contract, including ce_k evolution
 //      across pushes and the simd min_ce against a scalar rescan);
 //   3. word-boundary batch shapes off the unassigned bitset (64/128 tasks).
+// Layers 2 and 3 run under the identity and a random consideration order.
 // On a scalar build (no -mavx2/-march=native, or RTDS_SIMD_FORCE_SCALAR)
 // the dispatching kernels ARE the scalar ones and this suite pins the
 // trivial identity; on a vector build it proves the lanes.
@@ -61,9 +62,12 @@ TEST(SimdParityTest, WorkersMaskMatchesScalarOnRandomOperands) {
 }
 
 TEST(SimdParityTest, TasksMaskMatchesScalarOnRandomOperands) {
+  // The word kernel reads kWordLanes contiguous lanes; blocks start at
+  // every offset of a longer array so unaligned loads are covered too.
   Xoshiro256ss rng(0x7A5C0DEULL);
+  constexpr std::uint32_t kLanes = simd::kWordLanes;
   for (std::uint32_t rep = 0; rep < 200; ++rep) {
-    const auto n = static_cast<std::uint32_t>(rng.uniform_int(1, 300));
+    const std::uint32_t n = kLanes + 7;
     std::vector<std::int64_t> p(n), es(n), d(n);
     std::vector<std::uint64_t> aff(n);
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -72,23 +76,18 @@ TEST(SimdParityTest, TasksMaskMatchesScalarOnRandomOperands) {
       d[i] = rng.uniform_int(0, 4'000'000'000LL) - 500'000'000;
       aff[i] = (rng.next() << 32) ^ rng.next();
     }
-    const std::uint32_t counts[] = {1, 2, 3, 4, 5, 7, 8, 31, 32, 33, 63, 64};
-    for (const std::uint32_t count : counts) {
-      std::vector<std::uint32_t> ids(count);
-      for (auto& t : ids) {
-        t = static_cast<std::uint32_t>(rng.uniform_int(0, n - 1));
-      }
+    for (std::uint32_t base = 0; base + kLanes <= n; ++base) {
       const auto worker =
           static_cast<std::uint32_t>(rng.uniform_int(0, 63));
       const std::int64_t ce_w = rng.uniform_int(0, 2'000'000'000);
       const std::int64_t comm = rng.uniform_int(0, 50'000'000);
-      EXPECT_EQ(simd::feasible_tasks_mask(ids.data(), count, ce_w, worker,
-                                          p.data(), es.data(), d.data(),
-                                          aff.data(), comm),
-                simd::feasible_tasks_mask_scalar(ids.data(), count, ce_w,
-                                                 worker, p.data(), es.data(),
-                                                 d.data(), aff.data(), comm))
-          << "count=" << count << " rep=" << rep;
+      EXPECT_EQ(simd::feasible_word_mask(ce_w, worker, p.data() + base,
+                                         es.data() + base, d.data() + base,
+                                         aff.data() + base, comm),
+                simd::feasible_word_mask_scalar(
+                    ce_w, worker, p.data() + base, es.data() + base,
+                    d.data() + base, aff.data() + base, comm))
+          << "base=" << base << " rep=" << rep;
     }
   }
 }
@@ -169,12 +168,23 @@ FuzzInput make_input(Xoshiro256ss& rng, bool allow_gangs) {
 
 /// Walks random feasible pushes through a schedule, checking at every state
 /// that the masks agree with evaluate_fast and min_ce with a scalar rescan.
-void check_schedule_parity(const FuzzInput& s, Xoshiro256ss& rng) {
+/// With `shuffled`, the schedule runs under a random consideration order,
+/// so positions and task indices differ.
+void check_schedule_parity(const FuzzInput& s, Xoshiro256ss& rng,
+                           bool shuffled = false) {
   const auto net = machine::Interconnect::cut_through(s.m, s.comm);
   PartialSchedule ps(&s.batch, s.base_loads, s.delivery, &net);
   const auto n = static_cast<std::uint32_t>(s.batch.size());
+  std::vector<std::uint32_t> order(n);
+  for (std::uint32_t i = 0; i < n; ++i) order[i] = i;
+  if (shuffled) {
+    for (std::uint32_t i = n; i > 1; --i) {
+      std::swap(order[i - 1],
+                order[static_cast<std::uint32_t>(rng.uniform_int(0, i - 1))]);
+    }
+    ps.set_consideration_order(order.data());
+  }
 
-  std::vector<std::uint32_t> word_tasks;
   Assignment a;
   for (std::uint32_t step = 0; step < 64 && !ps.complete(); ++step) {
     // min_ce: simd reduction vs scalar rescan.
@@ -205,22 +215,14 @@ void check_schedule_parity(const FuzzInput& s, Xoshiro256ss& rng) {
       const auto worker =
           static_cast<ProcessorId>(rng.uniform_int(0, s.m - 1));
       for (std::size_t w = 0; w < words.size(); ++w) {
-        std::uint64_t bits = words[w];
-        if (bits == 0) continue;
-        word_tasks.clear();
-        while (bits != 0) {
-          const auto pos = static_cast<std::uint32_t>(
-              (w << 6) + std::uint32_t(std::countr_zero(bits)));
-          bits &= bits - 1;
-          word_tasks.push_back(ps.task_at(pos));
-        }
-        const std::uint64_t mask = ps.feasible_tasks_mask(
-            worker, word_tasks.data(),
-            static_cast<std::uint32_t>(word_tasks.size()));
-        for (std::size_t j = 0; j < word_tasks.size(); ++j) {
-          ASSERT_EQ((mask >> j) & 1u,
-                    ps.evaluate_fast(word_tasks[j], worker, a) ? 1u : 0u)
-              << "word " << w << " lane " << j << " step " << step;
+        const std::uint64_t mask = ps.feasible_word_mask(worker, w);
+        for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+          const auto lane = std::uint32_t(std::countr_zero(bits));
+          const auto pos = static_cast<std::uint32_t>((w << 6) + lane);
+          ASSERT_EQ(ps.task_at(pos), order[pos]);
+          ASSERT_EQ((mask >> lane) & 1u,
+                    ps.evaluate_fast(order[pos], worker, a) ? 1u : 0u)
+              << "word " << w << " lane " << lane << " step " << step;
         }
       }
     }
@@ -255,6 +257,7 @@ TEST(SimdParityTest, MasksMatchEvaluateFastOverFuzzSchedules) {
   for (std::uint32_t sc = 0; sc < 120; ++sc) {
     const FuzzInput s = make_input(rng, /*allow_gangs=*/sc % 3 == 0);
     check_schedule_parity(s, rng);
+    check_schedule_parity(s, rng, /*shuffled=*/true);
   }
 }
 
@@ -277,6 +280,7 @@ TEST(SimdParityTest, WordBoundaryBatchShapes) {
         t.workers_required = 1;
       }
       check_schedule_parity(s, rng);
+      check_schedule_parity(s, rng, /*shuffled=*/true);
     }
   }
 }
