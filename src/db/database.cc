@@ -24,42 +24,72 @@ void validate(const DatabaseConfig& c) {
 
 SubDatabase::SubDatabase(std::uint32_t subdb_id, const DatabaseConfig& config,
                          Xoshiro256ss& rng)
-    : id_(subdb_id) {
-  records_.reserve(config.records_per_subdb);
-  for (std::uint32_t r = 0; r < config.records_per_subdb; ++r) {
-    Record rec(config.num_attributes);
-    for (std::uint32_t a = 0; a < config.num_attributes; ++a) {
+    : id_(subdb_id),
+      num_records_(config.records_per_subdb),
+      num_attributes_(config.num_attributes),
+      key_base_(subdb_id * config.num_attributes * config.domain_size) {
+  validate(config);
+  RTDS_REQUIRE(subdb_id < config.num_subdbs, "SubDatabase: id out of range");
+  const std::uint32_t domain = config.domain_size;
+  // Tuples, row-major; each key offset's count goes to key_starts_[offset].
+  values_.resize(std::size_t(num_records_) * num_attributes_);
+  key_starts_.assign(std::size_t(domain) + 1, 0);
+  AttrValue* v = values_.data();
+  for (std::uint32_t r = 0; r < num_records_; ++r) {
+    for (std::uint32_t a = 0; a < num_attributes_; ++a) {
       const auto offset = static_cast<std::uint32_t>(
-          rng.uniform_int(0, std::int64_t(config.domain_size) - 1));
-      rec[a] = (std::uint32_t(subdb_id) * config.num_attributes + a) *
-                   config.domain_size +
-               offset;
+          rng.uniform_int(0, std::int64_t(domain) - 1));
+      v[a] = (subdb_id * num_attributes_ + a) * domain + offset;
     }
-    key_index_[rec[kKeyAttribute]].push_back(r);
-    records_.push_back(std::move(rec));
+    ++key_starts_[v[kKeyAttribute] - key_base_];
+    v += num_attributes_;
+  }
+  // Inclusive prefix sums make key_starts_[o] the end of o's row list;
+  // filling rows from the last one down moves it to the list's start and
+  // leaves every list ascending.
+  for (std::uint32_t o = 1; o < domain; ++o) {
+    key_starts_[o] += key_starts_[o - 1];
+  }
+  key_starts_[domain] = num_records_;
+  key_rows_.resize(num_records_);
+  for (std::uint32_t r = num_records_; r-- > 0;) {
+    const AttrValue key = values_[std::size_t(r) * num_attributes_ +
+                                  kKeyAttribute];
+    key_rows_[--key_starts_[key - key_base_]] = r;
   }
 }
 
-std::vector<std::uint32_t> SubDatabase::key_lookup(AttrValue value) const {
-  auto it = key_index_.find(value);
-  if (it == key_index_.end()) return {};
-  return it->second;
+std::span<const AttrValue> SubDatabase::record(std::uint32_t row) const {
+  RTDS_REQUIRE(row < num_records_, "record: row out of range");
+  return {values_.data() + std::size_t(row) * num_attributes_,
+          num_attributes_};
+}
+
+std::span<const std::uint32_t> SubDatabase::key_lookup(
+    AttrValue value) const {
+  // Values below key_base_ wrap around to a huge offset.
+  const AttrValue offset = value - key_base_;
+  if (offset >= key_starts_.size() - 1) return {};
+  return {key_rows_.data() + key_starts_[offset],
+          key_rows_.data() + key_starts_[offset + 1]};
 }
 
 QueryResult SubDatabase::execute(const Transaction& txn,
                                  QueryMode mode) const {
+  for (const Predicate& p : txn.predicates) {
+    RTDS_REQUIRE(p.attribute < num_attributes_,
+                 "execute: predicate attribute out of range");
+  }
   QueryResult result;
-  const auto matches = [&](const Record& rec) {
+  const auto matches = [&](const AttrValue* rec) {
     for (const Predicate& p : txn.predicates) {
-      RTDS_REQUIRE(p.attribute < rec.size(),
-                   "execute: predicate attribute out of range");
       if (rec[p.attribute] != p.value) return false;
     }
     return true;
   };
-  const auto check = [&](const Record& rec) {
+  const auto check = [&](std::uint32_t row) {
     ++result.checked;
-    if (matches(rec)) {
+    if (matches(values_.data() + std::size_t(row) * num_attributes_)) {
       ++result.matched;
       return mode == QueryMode::kFirstMatch;  // stop on first hit
     }
@@ -76,11 +106,11 @@ QueryResult SubDatabase::execute(const Transaction& txn,
       }
     }
     for (std::uint32_t row : key_lookup(key_value)) {
-      if (check(records_[row])) break;
+      if (check(row)) break;
     }
   } else {
-    for (const Record& rec : records_) {
-      if (check(rec)) break;
+    for (std::uint32_t row = 0; row < num_records_; ++row) {
+      if (check(row)) break;
     }
   }
   return result;
@@ -89,12 +119,15 @@ QueryResult SubDatabase::execute(const Transaction& txn,
 GlobalDatabase::GlobalDatabase(DatabaseConfig config, Xoshiro256ss& rng)
     : config_(config) {
   validate(config_);
+  const std::uint32_t domain = config_.domain_size;
   subdbs_.reserve(config_.num_subdbs);
+  key_counts_.resize(std::size_t(config_.num_subdbs) * domain);
   for (std::uint32_t s = 0; s < config_.num_subdbs; ++s) {
     subdbs_.emplace_back(s, config_, rng);
     // Merge this partition's key index into the host's global index file.
-    for (const Record& rec : subdbs_.back().records()) {
-      ++global_key_index_[rec[kKeyAttribute]];
+    for (std::uint32_t o = 0; o < domain; ++o) {
+      key_counts_[std::size_t(s) * domain + o] = static_cast<std::uint32_t>(
+          subdbs_.back().key_lookup(encode(s, kKeyAttribute, o)).size());
     }
   }
 }
@@ -125,8 +158,17 @@ std::uint32_t GlobalDatabase::attribute_of(AttrValue value) const {
 }
 
 std::uint32_t GlobalDatabase::key_frequency(AttrValue value) const {
-  auto it = global_key_index_.find(value);
-  return it == global_key_index_.end() ? 0 : it->second;
+  // value = s * (A * domain) + attr * domain + offset, and the key is
+  // attribute 0, so key values are exactly the remainders below `domain`.
+  // The stride is 2^32 for a one-sub-database config that fills the
+  // encoding, hence 64-bit arithmetic.
+  const std::uint64_t stride =
+      std::uint64_t(config_.num_attributes) * config_.domain_size;
+  const std::uint64_t s = value / stride;
+  const std::uint64_t offset = value % stride;
+  static_assert(kKeyAttribute == 0);
+  if (s >= config_.num_subdbs || offset >= config_.domain_size) return 0;
+  return key_counts_[s * config_.domain_size + offset];
 }
 
 SimDuration GlobalDatabase::estimate_cost(const Transaction& txn) const {

@@ -12,10 +12,21 @@
 //   Execution_Cost(q) = k * ( frequency of the matching key value,  if the
 //                             key attribute is among q's predicates;
 //                             r/d (a full sub-database scan) otherwise )
+//
+// Storage layout. A build makes a handful of allocations, none per tuple:
+//  - each SubDatabase keeps its tuples in one row-major value array
+//    (records x attributes); record(row) is a span into it;
+//  - its key index is a CSR over the key attribute's domain offsets: start
+//    offsets per offset (domain_size + 1 entries) into one row array,
+//    filled by a counting pass so every row list is ascending;
+//  - the host's global index file is a dense num_subdbs x domain_size
+//    count table, indexed by (owning sub-database, key domain offset).
+// The two key structures take 8 bytes per (sub-database, key domain
+// offset), whether or not a tuple holds that value.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -28,9 +39,6 @@ namespace rtds::db {
 /// value -> owning-sub-database lookup a constant-time division.
 using AttrValue = std::uint32_t;
 
-/// One tuple: one value per attribute.
-using Record = std::vector<AttrValue>;
-
 /// Shape of the database (defaults are the paper's experiment design).
 struct DatabaseConfig {
   std::uint32_t num_subdbs{10};
@@ -38,7 +46,8 @@ struct DatabaseConfig {
   std::uint32_t num_attributes{10};
   /// Distinct values per (sub-database, attribute) domain. Values are drawn
   /// uniformly, so a key value matches ~records_per_subdb/domain_size
-  /// tuples on average.
+  /// tuples on average. The key index is dense over this domain: it costs
+  /// 8 bytes per sub-database and domain value.
   std::uint32_t domain_size{100};
   /// k — processing time of one checking iteration (one tuple inspected).
   SimDuration check_cost{usec(20)};
@@ -95,24 +104,35 @@ class SubDatabase {
               Xoshiro256ss& rng);
 
   [[nodiscard]] std::uint32_t id() const { return id_; }
-  [[nodiscard]] const std::vector<Record>& records() const {
-    return records_;
-  }
+  [[nodiscard]] std::uint32_t num_records() const { return num_records_; }
 
-  /// Rows whose key attribute equals `value` (index probe).
-  [[nodiscard]] std::vector<std::uint32_t> key_lookup(AttrValue value) const;
+  /// The tuple at `row`: one value per attribute.
+  [[nodiscard]] std::span<const AttrValue> record(std::uint32_t row) const;
+
+  /// Rows whose key attribute equals `value` (index probe), ascending.
+  /// Empty for values outside this sub-database's key domain.
+  [[nodiscard]] std::span<const std::uint32_t> key_lookup(
+      AttrValue value) const;
 
   /// Executes a transaction: uses the key index when the transaction
   /// constrains the key attribute, otherwise scans all records, checking
   /// every predicate ("iterating a checking process among the tuples").
-  /// kFirstMatch stops at the first satisfying tuple.
+  /// kFirstMatch stops at the first satisfying tuple. Throws
+  /// InvalidArgument when a predicate names no attribute of this
+  /// sub-database, before any tuple is inspected.
   [[nodiscard]] QueryResult execute(
       const Transaction& txn, QueryMode mode = QueryMode::kAllMatches) const;
 
  private:
   std::uint32_t id_;
-  std::vector<Record> records_;
-  std::unordered_map<AttrValue, std::vector<std::uint32_t>> key_index_;
+  std::uint32_t num_records_;
+  std::uint32_t num_attributes_;
+  AttrValue key_base_;  ///< encoded value of key domain offset 0
+  std::vector<AttrValue> values_;  ///< row-major, records x attributes
+  /// CSR key index: the rows holding key offset `o` are
+  /// key_rows_[key_starts_[o] .. key_starts_[o + 1]).
+  std::vector<std::uint32_t> key_starts_;
+  std::vector<std::uint32_t> key_rows_;
 };
 
 /// The partitioned global database plus the host's global index file.
@@ -134,7 +154,8 @@ class GlobalDatabase {
   [[nodiscard]] std::uint32_t attribute_of(AttrValue value) const;
 
   // -- host-side estimation (Sec. 5) ---------------------------------------
-  /// Frequency of `value` in the global key index (0 if absent).
+  /// Frequency of `value` in the global key index (0 if absent, and for
+  /// values that are no key value of any sub-database).
   [[nodiscard]] std::uint32_t key_frequency(AttrValue value) const;
 
   /// The paper's worst-case cost estimate for a transaction. Never zero:
@@ -156,9 +177,9 @@ class GlobalDatabase {
  private:
   DatabaseConfig config_;
   std::vector<SubDatabase> subdbs_;
-  /// Global key-index file kept by the host (value -> frequency). Values
-  /// are disjoint across sub-databases, so aggregation is a plain merge.
-  std::unordered_map<AttrValue, std::uint32_t> global_key_index_;
+  /// Global key-index file kept by the host: the frequency of key domain
+  /// offset `o` of sub-database `s` is key_counts_[s * domain_size + o].
+  std::vector<std::uint32_t> key_counts_;
 };
 
 }  // namespace rtds::db

@@ -1,6 +1,7 @@
 #include "db/transaction.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/error.h"
 
@@ -15,25 +16,35 @@ std::vector<Transaction> generate_transactions(
   RTDS_REQUIRE(max_preds <= db.num_attributes,
                "generate_transactions: more predicates than attributes");
 
-  std::vector<Transaction> out;
-  out.reserve(config.num_transactions);
+  const std::uint32_t n = db.num_attributes;
+  std::vector<std::uint32_t> attrs(n);  // partial Fisher-Yates buffer
+  std::vector<Transaction> out(config.num_transactions);
   for (std::uint32_t i = 0; i < config.num_transactions; ++i) {
-    Transaction txn;
+    Transaction& txn = out[i];
     txn.id = i;
     txn.subdb = static_cast<std::uint32_t>(
         rng.uniform_int(0, std::int64_t(db.num_subdbs) - 1));
 
+    // A distinct uniform sample of num_preds attributes, in shuffle
+    // order: the draws of Xoshiro256ss::sample_indices, without its
+    // per-call vector. Every attribute is drawn before any value.
     const auto num_preds = static_cast<std::uint32_t>(
         rng.uniform_int(1, std::int64_t(max_preds)));
-    for (std::size_t attr : rng.sample_indices(db.num_attributes, num_preds)) {
+    for (std::uint32_t a = 0; a < n; ++a) attrs[a] = a;
+    for (std::uint32_t k = 0; k < num_preds; ++k) {
+      const auto j = static_cast<std::uint32_t>(
+          rng.uniform_int(std::int64_t(k), std::int64_t(n) - 1));
+      std::swap(attrs[k], attrs[j]);
+    }
+    txn.predicates.reserve(num_preds);
+    for (std::uint32_t k = 0; k < num_preds; ++k) {
       Predicate p;
-      p.attribute = static_cast<std::uint32_t>(attr);
+      p.attribute = attrs[k];
       const auto offset = static_cast<std::uint32_t>(
           rng.uniform_int(0, std::int64_t(db.domain_size) - 1));
       p.value = database.encode(txn.subdb, p.attribute, offset);
       txn.predicates.push_back(p);
     }
-    out.push_back(std::move(txn));
   }
   return out;
 }

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <unordered_map>
+#include <vector>
 
 #include "common/error.h"
 
@@ -35,10 +38,11 @@ TEST(GlobalDatabaseTest, PopulatesAllSubDatabases) {
   EXPECT_EQ(db.num_subdbs(), 4u);
   for (std::uint32_t s = 0; s < 4; ++s) {
     EXPECT_EQ(db.subdb(s).id(), s);
-    EXPECT_EQ(db.subdb(s).records().size(), 200u);
-    for (const Record& rec : db.subdb(s).records()) {
-      EXPECT_EQ(rec.size(), 5u);
+    EXPECT_EQ(db.subdb(s).num_records(), 200u);
+    for (std::uint32_t r = 0; r < 200; ++r) {
+      EXPECT_EQ(db.subdb(s).record(r).size(), 5u);
     }
+    EXPECT_THROW(static_cast<void>(db.subdb(s).record(200)), InvalidArgument);
   }
   EXPECT_THROW(static_cast<void>(db.subdb(4)), InvalidArgument);
 }
@@ -66,8 +70,8 @@ TEST(GlobalDatabaseTest, DomainsAreDisjointAcrossSubDatabases) {
   const GlobalDatabase db(small_config(), rng);
   std::set<AttrValue> seen_values[4];
   for (std::uint32_t s = 0; s < 4; ++s) {
-    for (const Record& rec : db.subdb(s).records()) {
-      for (AttrValue v : rec) {
+    for (std::uint32_t r = 0; r < 200; ++r) {
+      for (AttrValue v : db.subdb(s).record(r)) {
         EXPECT_EQ(db.owner_subdb(v), s);
         seen_values[s].insert(v);
       }
@@ -86,7 +90,8 @@ TEST(GlobalDatabaseTest, RecordValuesMatchDeclaredAttribute) {
   Xoshiro256ss rng(5);
   const GlobalDatabase db(small_config(), rng);
   for (std::uint32_t s = 0; s < 4; ++s) {
-    for (const Record& rec : db.subdb(s).records()) {
+    for (std::uint32_t r = 0; r < 200; ++r) {
+      const auto rec = db.subdb(s).record(r);
       for (std::uint32_t a = 0; a < rec.size(); ++a) {
         EXPECT_EQ(db.attribute_of(rec[a]), a);
       }
@@ -100,8 +105,8 @@ TEST(GlobalDatabaseTest, GlobalIndexMatchesActualFrequencies) {
   // Recount key frequencies by scanning and compare with the index.
   std::unordered_map<AttrValue, std::uint32_t> recount;
   for (std::uint32_t s = 0; s < 4; ++s) {
-    for (const Record& rec : db.subdb(s).records()) {
-      ++recount[rec[kKeyAttribute]];
+    for (std::uint32_t r = 0; r < 200; ++r) {
+      ++recount[db.subdb(s).record(r)[kKeyAttribute]];
     }
   }
   for (const auto& [value, freq] : recount) {
@@ -112,19 +117,22 @@ TEST(GlobalDatabaseTest, GlobalIndexMatchesActualFrequencies) {
 }
 
 TEST(SubDatabaseTest, KeyLookupAgreesWithScan) {
+  // Row lists equal a brute-force scan, so they are ascending, and the
+  // host's frequencies equal their lengths.
   Xoshiro256ss rng(7);
   const GlobalDatabase db(small_config(), rng);
-  const SubDatabase& sd = db.subdb(1);
-  for (std::uint32_t off = 0; off < 20; ++off) {
-    const AttrValue key = db.encode(1, kKeyAttribute, off);
-    const auto rows = sd.key_lookup(key);
-    std::uint32_t scanned = 0;
-    for (const Record& rec : sd.records()) {
-      if (rec[kKeyAttribute] == key) ++scanned;
-    }
-    EXPECT_EQ(rows.size(), scanned);
-    for (std::uint32_t r : rows) {
-      EXPECT_EQ(sd.records()[r][kKeyAttribute], key);
+  for (std::uint32_t s = 0; s < 4; ++s) {
+    const SubDatabase& sd = db.subdb(s);
+    for (std::uint32_t off = 0; off < 20; ++off) {
+      const AttrValue key = db.encode(s, kKeyAttribute, off);
+      std::vector<std::uint32_t> scanned;
+      for (std::uint32_t r = 0; r < sd.num_records(); ++r) {
+        if (sd.record(r)[kKeyAttribute] == key) scanned.push_back(r);
+      }
+      const auto rows = sd.key_lookup(key);
+      EXPECT_EQ(std::vector<std::uint32_t>(rows.begin(), rows.end()),
+                scanned);
+      EXPECT_EQ(db.key_frequency(key), scanned.size());
     }
   }
 }
@@ -134,7 +142,7 @@ TEST(SubDatabaseTest, ExecuteWithKeyUsesIndexPath) {
   const GlobalDatabase db(small_config(), rng);
   const SubDatabase& sd = db.subdb(0);
   // Find a key value that actually occurs.
-  const AttrValue key = sd.records()[0][kKeyAttribute];
+  const AttrValue key = sd.record(0)[kKeyAttribute];
   Transaction txn;
   txn.subdb = 0;
   txn.predicates = {{kKeyAttribute, key}};
@@ -154,8 +162,8 @@ TEST(SubDatabaseTest, ExecuteWithoutKeyScansEverything) {
   EXPECT_EQ(r.checked, 200u);
   // Matched count equals a hand scan.
   std::uint32_t expect = 0;
-  for (const Record& rec : sd.records()) {
-    if (rec[1] == txn.predicates[0].value) ++expect;
+  for (std::uint32_t r = 0; r < sd.num_records(); ++r) {
+    if (sd.record(r)[1] == txn.predicates[0].value) ++expect;
   }
   EXPECT_EQ(r.matched, expect);
 }
@@ -164,7 +172,7 @@ TEST(SubDatabaseTest, ConjunctionNarrowsMatches) {
   Xoshiro256ss rng(10);
   const GlobalDatabase db(small_config(), rng);
   const SubDatabase& sd = db.subdb(0);
-  const Record& probe = sd.records()[5];
+  const auto probe = sd.record(5);
   Transaction one;
   one.subdb = 0;
   one.predicates = {{kKeyAttribute, probe[kKeyAttribute]}};
@@ -175,10 +183,37 @@ TEST(SubDatabaseTest, ConjunctionNarrowsMatches) {
   EXPECT_GE(sd.execute(both).matched, 1u);  // probe row itself matches
 }
 
+TEST(SubDatabaseTest, ExecuteRejectsBadAttributeBeforeInspectingTuples) {
+  // The key probe finds no rows, so no tuple is ever inspected; the
+  // out-of-range predicate attribute must still be refused.
+  Xoshiro256ss rng(16);
+  DatabaseConfig cfg = small_config();
+  cfg.domain_size = 10000;
+  const GlobalDatabase db(cfg, rng);
+  AttrValue absent = 0;
+  bool found = false;
+  for (std::uint32_t off = 0; off < cfg.domain_size && !found; ++off) {
+    absent = db.encode(0, kKeyAttribute, off);
+    found = db.subdb(0).key_lookup(absent).empty();
+  }
+  ASSERT_TRUE(found);
+  Transaction txn;
+  txn.subdb = 0;
+  txn.predicates = {{kKeyAttribute, absent}, {cfg.num_attributes, 0u}};
+  for (QueryMode mode : {QueryMode::kAllMatches, QueryMode::kFirstMatch}) {
+    EXPECT_THROW(static_cast<void>(db.subdb(0).execute(txn, mode)),
+                 InvalidArgument);
+    EXPECT_THROW(static_cast<void>(db.actual_cost(txn, mode)),
+                 InvalidArgument);
+  }
+  txn.predicates.pop_back();
+  EXPECT_EQ(db.subdb(0).execute(txn).checked, 0u);
+}
+
 TEST(EstimateCostTest, KeyTransactionUsesFrequency) {
   Xoshiro256ss rng(11);
   const GlobalDatabase db(small_config(), rng);
-  const AttrValue key = db.subdb(0).records()[0][kKeyAttribute];
+  const AttrValue key = db.subdb(0).record(0)[kKeyAttribute];
   Transaction txn;
   txn.subdb = 0;
   txn.predicates = {{kKeyAttribute, key}};
@@ -237,7 +272,11 @@ TEST(GlobalDatabaseTest, DeterministicForSeed) {
   const GlobalDatabase a(small_config(), rng1);
   const GlobalDatabase b(small_config(), rng2);
   for (std::uint32_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(a.subdb(s).records(), b.subdb(s).records());
+    for (std::uint32_t r = 0; r < 200; ++r) {
+      const auto ra = a.subdb(s).record(r);
+      const auto rb = b.subdb(s).record(r);
+      EXPECT_TRUE(std::equal(ra.begin(), ra.end(), rb.begin(), rb.end()));
+    }
   }
 }
 

@@ -132,7 +132,9 @@ TEST(ArrivalSourceTest, PeriodicJitterStaysWithinOnePeriodOfNominal) {
     const SimTime nominal = SimTime::zero() + msec(2) * std::int64_t(i + 1);
     EXPECT_GE(stream[i].arrival, nominal);
     EXPECT_LE(stream[i].arrival, nominal + msec(1));
-    if (i > 0) EXPECT_GE(stream[i].arrival, stream[i - 1].arrival);
+    if (i > 0) {
+      EXPECT_GE(stream[i].arrival, stream[i - 1].arrival);
+    }
     any_jitter = any_jitter || stream[i].arrival != nominal;
   }
   EXPECT_TRUE(any_jitter);
