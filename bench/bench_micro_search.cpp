@@ -102,7 +102,7 @@ void BM_GreedyPhase(benchmark::State& state, sched::GreedyKind kind) {
   const std::uint32_t m = 10, n = 200;
   const auto batch = make_batch(n, m, 4);
   const auto net = machine::Interconnect::cut_through(m, msec(2));
-  const sched::GreedyAlgorithm algo(kind);
+  const sched::GreedyAlgorithm algo("greedy", kind);
   for (auto _ : state) {
     const auto r = algo.schedule_phase(
         batch, std::vector<SimDuration>(m, SimDuration{}),

@@ -45,8 +45,8 @@ double mean_hit(std::uint32_t shards, std::uint32_t workers,
     cfg.num_shards = shards;
     cfg.total_workers = workers;
     cfg.comm_cost = msec(3);
-    cfg.driver.vertex_generation_cost = usec(2);
-    cfg.driver.phase_overhead = usec(50);
+    cfg.pipeline.vertex_generation_cost = usec(2);
+    cfg.pipeline.phase_overhead = usec(50);
     const sched::PartitionedMetrics m =
         sched::run_partitioned(*algo, *quantum, cfg, wl);
     s.add(m.hit_ratio());

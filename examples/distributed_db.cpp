@@ -15,9 +15,10 @@
 #include "db/transaction.h"
 #include "exp/table.h"
 #include "machine/cluster.h"
-#include "sched/driver.h"
-#include "sched/presets.h"
+#include "sched/backend.h"
+#include "sched/pipeline.h"
 #include "sched/quantum.h"
+#include "sched/registry.h"
 #include "sim/simulator.h"
 
 int main(int argc, char** argv) {
@@ -54,17 +55,18 @@ int main(int argc, char** argv) {
   // --- run both schedulers --------------------------------------------------
   exp::TextTable table({"scheduler", "hit%", "scheduled", "culled", "phases",
                         "vertices", "host time (ms)"});
-  for (const auto& factory : {sched::make_rt_sads, sched::make_d_cols}) {
-    const auto algo = factory();
+  for (const char* spec : {"rt_sads", "d_cols"}) {
+    const auto algo = sched::AlgorithmRegistry::builtin().make(spec);
     machine::Cluster cluster(
         kWorkers, machine::Interconnect::cut_through(kWorkers, msec(5)));
     sim::Simulator sim;
+    sched::SimBackend backend(cluster, sim);
     const auto quantum =
         sched::make_self_adjusting_quantum(usec(100), msec(20));
-    sched::DriverConfig driver_cfg;
-    driver_cfg.vertex_generation_cost = usec(2);
-    const sched::PhaseScheduler scheduler(*algo, *quantum, driver_cfg);
-    const sched::RunMetrics m = scheduler.run(workload, cluster, sim);
+    sched::PipelineConfig pipeline_cfg;
+    pipeline_cfg.vertex_generation_cost = usec(2);
+    const sched::PhasePipeline pipeline(*algo, *quantum, pipeline_cfg);
+    const sched::RunMetrics m = pipeline.run(workload, backend);
     table.add_row({algo->name(), exp::fmt(m.hit_ratio() * 100, 1),
                    std::to_string(m.scheduled), std::to_string(m.culled),
                    std::to_string(m.phases),

@@ -7,9 +7,10 @@
 #include <iostream>
 
 #include "common/rng.h"
-#include "runtime/threaded_runtime.h"
-#include "sched/presets.h"
+#include "runtime/threaded_backend.h"
+#include "sched/pipeline.h"
 #include "sched/quantum.h"
+#include "sched/registry.h"
 #include "tasks/workload.h"
 
 int main(int argc, char** argv) {
@@ -33,19 +34,24 @@ int main(int argc, char** argv) {
   Xoshiro256ss rng(11);
   const auto workload = tasks::generate_workload(wc, rng);
 
-  const auto algorithm = sched::make_rt_sads();
+  const auto algorithm = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto quantum = sched::make_self_adjusting_quantum(usec(200), msec(10));
 
   runtime::RuntimeConfig cfg;
   cfg.num_workers = workers;
   cfg.comm_cost = msec(1);
-  cfg.vertex_cost = usec(10);
   cfg.time_scale = 0.25;  // execute 4x faster than nominal
+
+  // No synthetic per-phase overhead: each phase costs the wall time its
+  // search took.
+  sched::PipelineConfig pipeline_cfg;
+  pipeline_cfg.phase_overhead = SimDuration::zero();
+  const sched::PhasePipeline pipeline(*algorithm, *quantum, pipeline_cfg);
 
   std::cout << "running " << num_tasks << " tasks on " << workers
             << " worker threads (live wall-clock deadlines)...\n";
-  const runtime::RuntimeReport r =
-      runtime::run_threaded(*algorithm, *quantum, cfg, workload);
+  runtime::ThreadedBackend backend(cfg);
+  const sched::RunMetrics r = pipeline.run(workload, backend);
 
   std::cout << "tasks offered       : " << r.total_tasks << "\n"
             << "scheduled           : " << r.scheduled << "\n"

@@ -8,9 +8,10 @@
 
 #include "common/rng.h"
 #include "machine/cluster.h"
-#include "sched/driver.h"
-#include "sched/presets.h"
+#include "sched/backend.h"
+#include "sched/pipeline.h"
 #include "sched/quantum.h"
+#include "sched/registry.h"
 #include "sim/simulator.h"
 #include "tasks/workload.h"
 
@@ -37,14 +38,15 @@ int main() {
   const std::vector<tasks::Task> workload = tasks::generate_workload(wl, rng);
 
   // 3. The scheduler: RT-SADS with the paper's self-adjusting quantum.
-  const auto algorithm = sched::make_rt_sads();
+  const auto algorithm = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto quantum = sched::make_self_adjusting_quantum(
       /*min_quantum=*/usec(100), /*max_quantum=*/msec(50));
 
   // 4. Run the pipeline on the discrete-event simulator.
   sim::Simulator simulator;
-  const sched::PhaseScheduler scheduler(*algorithm, *quantum);
-  const sched::RunMetrics m = scheduler.run(workload, cluster, simulator);
+  sched::SimBackend backend(cluster, simulator);
+  const sched::PhasePipeline pipeline(*algorithm, *quantum);
+  const sched::RunMetrics m = pipeline.run(workload, backend);
 
   std::cout << "tasks offered        : " << m.total_tasks << "\n"
             << "scheduled            : " << m.scheduled << "\n"

@@ -7,8 +7,7 @@
 //
 // --algo takes any registry spec (sched/registry.h), e.g. rt_sads, d_cols,
 // d_cols?max_successors=8, edf_ff, edf_bf, myopic?window=7, packing,
-// multicrit?sort=lpt&fit=next. The pre-registry aliases (rt-sads, d-cols,
-// d-cols-pruned:<B>, edf-first-fit, edf-best-fit, myopic:<W>) still work.
+// multicrit?sort=lpt&fit=next.
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -18,7 +17,10 @@
 #include "db/transaction.h"
 #include "exp/experiment.h"
 #include "exp/table.h"
+#include "machine/cluster.h"
 #include "machine/schedule_export.h"
+#include "sched/backend.h"
+#include "sched/pipeline.h"
 #include "sched/registry.h"
 #include "sched/trace.h"
 #include "sim/simulator.h"
@@ -59,26 +61,10 @@ bool match_flag(const std::string& arg, const std::string& key,
   return false;
 }
 
-/// Maps the pre-registry CLI aliases onto registry specs; anything else is
-/// passed to the registry verbatim.
-std::string resolve_alias(const std::string& spec) {
-  if (spec == "rt-sads") return "rt_sads";
-  if (spec == "d-cols") return "d_cols";
-  if (spec == "edf-first-fit") return "edf_ff";
-  if (spec == "edf-best-fit") return "edf_bf";
-  if (spec.rfind("d-cols-pruned:", 0) == 0) {
-    return "d_cols?max_successors=" + spec.substr(14);
-  }
-  if (spec.rfind("myopic:", 0) == 0) {
-    return "myopic?window=" + spec.substr(7);
-  }
-  return spec;
-}
-
 std::unique_ptr<sched::PhaseAlgorithm> make_algorithm(
     const std::string& spec) {
   try {
-    return sched::AlgorithmRegistry::builtin().make(resolve_alias(spec));
+    return sched::AlgorithmRegistry::builtin().make(spec);
   } catch (const Error& e) {
     usage(e.what());
   }
@@ -189,13 +175,14 @@ int main(int argc, char** argv) {
         cfg.reclaim_actual_costs ? machine::ReclaimMode::kReclaim
                                  : machine::ReclaimMode::kWorstCase);
     sim::Simulator sim;
+    sched::SimBackend backend(cluster, sim);
     const auto quantum = cfg.make_quantum();
-    sched::DriverConfig driver_cfg;
-    driver_cfg.vertex_generation_cost = cfg.vertex_cost;
-    driver_cfg.phase_overhead = cfg.phase_overhead;
+    sched::PipelineConfig pipeline_cfg;
+    pipeline_cfg.vertex_generation_cost = cfg.vertex_cost;
+    pipeline_cfg.phase_overhead = cfg.phase_overhead;
     sched::PhaseTraceRecorder recorder;
-    const sched::PhaseScheduler scheduler(*algorithm, *quantum, driver_cfg);
-    scheduler.run(workload, cluster, sim, &recorder);
+    const sched::PhasePipeline pipeline(*algorithm, *quantum, pipeline_cfg);
+    pipeline.run(workload, backend, &recorder);
 
     if (!trace_path.empty()) {
       std::ofstream out(trace_path);

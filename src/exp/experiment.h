@@ -15,7 +15,7 @@
 #include "db/database.h"
 #include "db/transaction.h"
 #include "sched/algorithm.h"
-#include "sched/driver.h"
+#include "sched/pipeline.h"
 #include "sched/quantum.h"
 
 namespace rtds::exp {

@@ -116,7 +116,7 @@ PartitionedMetrics run_partitioned(const PhaseAlgorithm& algorithm,
   // (sched/pipeline.cc) against its own host backend.
   PartitionedMetrics out;
   out.shards.reserve(config.num_shards);
-  const PhasePipeline pipeline(algorithm, quantum, config.driver);
+  const PhasePipeline pipeline(algorithm, quantum, config.pipeline);
   PartitionedBackend backend(config.num_shards, per_shard, config.comm_cost,
                              config.reclaim);
   for (std::uint32_t s = 0; s < config.num_shards; ++s) {

@@ -21,7 +21,14 @@
 //
 // Batch maintenance, quantum computation, vertex budgeting, feasibility
 // snapshotting and metrics/trace emission all live HERE and only here; the
-// backends (sched/backend.h) supply time, worker loads and delivery.
+// backends (sched/backend.h) supply time, worker loads and delivery. This
+// is the one way to run a deployment:
+//
+//   SimBackend backend(cluster, sim);              // DES (the figures)
+//   PhasePipeline(*algorithm, *quantum, cfg).run(workload, backend);
+//
+// A live run passes a runtime::ThreadedBackend instead, with
+// cfg.phase_overhead = 0: its per-phase cost is the wall time it took.
 #pragma once
 
 #include <cstddef>
@@ -137,8 +144,7 @@ struct PipelineConfig {
   /// retiring it as `rejected`. Refused deliveries re-enter the next batch
   /// (readmission) until this budget is spent. 0 means unbounded: the task
   /// is readmitted until delivered or culled. 1 disables readmission
-  /// (every refused delivery is rejected immediately, as PR 1 effectively
-  /// behaved — except the loss is now explicit, not silent).
+  /// (every refused delivery is rejected immediately and counted).
   std::uint32_t max_delivery_attempts{8};
 
   /// Minimum backpressure pause after a phase whose delivery was partially
@@ -149,9 +155,6 @@ struct PipelineConfig {
   /// pending task unreachable. Zero disables backpressure.
   SimDuration delivery_backpressure{usec(200)};
 };
-
-/// Historic name from when this struct configured PhaseScheduler only.
-using DriverConfig = PipelineConfig;
 
 /// Open-system service knobs for PhasePipeline::run_stream.
 struct StreamOptions {

@@ -1,9 +1,9 @@
 // String-keyed algorithm construction: the portfolio seam.
 //
-// Every deployment of the system (driver, experiments, fuzz harness, bench
-// binaries, CLI) used to hard-code presets.h factory calls; the registry
-// replaces those call sites with one string surface so a run is
-// attributable and replayable by name:
+// This is the one way to build a PhaseAlgorithm: experiments, the fuzz
+// harness, benches, the CLI, the examples and the tests all name their
+// algorithm by a string spec, so a run is attributable and replayable by
+// name:
 //
 //   auto algo = AlgorithmRegistry::builtin().make("d_cols?max_successors=8");
 //   algo->name()  == "d_cols?max_successors=8"   // canonical spec

@@ -245,7 +245,7 @@ ScenarioResult run_scenario(const Scenario& scenario,
     pcfg.total_workers = scenario.workers;
     pcfg.comm_cost = comm;
     pcfg.reclaim = reclaim;
-    pcfg.driver = des_config;
+    pcfg.pipeline = des_config;
     try {
       const sched::PartitionedMetrics pm = sched::run_partitioned(
           *algorithm, *quantum, pcfg, workload);
@@ -281,7 +281,6 @@ ScenarioResult run_scenario(const Scenario& scenario,
     runtime::RuntimeConfig rcfg;
     rcfg.num_workers = scenario.workers;
     rcfg.comm_cost = comm;
-    rcfg.vertex_cost = usec(scenario.vertex_cost_us);
     rcfg.time_scale = options.threaded_time_scale;
     rcfg.mailbox_capacity = scenario.mailbox_capacity;
     rcfg.delivery_retries = scenario.delivery_retries;

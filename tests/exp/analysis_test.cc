@@ -4,8 +4,9 @@
 
 #include "common/rng.h"
 #include "machine/validator.h"
-#include "sched/driver.h"
-#include "sched/presets.h"
+#include "sched/backend.h"
+#include "sched/pipeline.h"
+#include "sched/registry.h"
 #include "sim/simulator.h"
 #include "tasks/workload.h"
 
@@ -84,8 +85,8 @@ TEST(BalanceSummaryTest, DetectsIdleWorkers) {
 
 TEST(AnalysisIntegrationTest, EndToEndRunValidatesAndAnalyzes) {
   // Full pipeline -> oracle validation + analysis, for both schedulers.
-  for (const auto& factory : {sched::make_rt_sads, sched::make_d_cols}) {
-    const auto algo = factory();
+  for (const char* spec : {"rt_sads", "d_cols"}) {
+    const auto algo = sched::AlgorithmRegistry::builtin().make(spec);
     machine::Cluster cluster(4,
                              machine::Interconnect::cut_through(4, msec(2)));
     sim::Simulator sim;
@@ -98,8 +99,9 @@ TEST(AnalysisIntegrationTest, EndToEndRunValidatesAndAnalyzes) {
     wc.laxity_max = 10.0;
     Xoshiro256ss rng(7);
     const auto wl = tasks::generate_workload(wc, rng);
-    const sched::PhaseScheduler scheduler(*algo, *quantum);
-    const sched::RunMetrics m = scheduler.run(wl, cluster, sim);
+    sched::SimBackend backend(cluster, sim);
+    const sched::PhasePipeline pipeline(*algo, *quantum);
+    const sched::RunMetrics m = pipeline.run(wl, backend);
 
     const machine::ValidationReport vr =
         machine::validate_execution(cluster, wl);

@@ -15,11 +15,11 @@
 #include <vector>
 
 #include "machine/cluster.h"
-#include "runtime/threaded_runtime.h"
+#include "runtime/threaded_backend.h"
 #include "sched/backend.h"
 #include "sched/pipeline.h"
-#include "sched/presets.h"
 #include "sched/quantum.h"
+#include "sched/registry.h"
 #include "sim/simulator.h"
 #include "tasks/task.h"
 
@@ -49,8 +49,16 @@ std::vector<Task> parity_workload() {
   return wl;
 }
 
+/// The threaded deployment's pipeline settings: a live phase costs the
+/// wall time its search took, so no synthetic per-phase overhead.
+sched::PipelineConfig live_config() {
+  sched::PipelineConfig cfg;
+  cfg.phase_overhead = SimDuration::zero();
+  return cfg;
+}
+
 TEST(BackendParityTest, SimAndThreadedAgreeOnScheduledAndCulled) {
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(10));
   const std::vector<Task> wl = parity_workload();
 
@@ -64,9 +72,10 @@ TEST(BackendParityTest, SimAndThreadedAgreeOnScheduledAndCulled) {
   runtime::RuntimeConfig cfg;
   cfg.num_workers = kWorkers;
   cfg.comm_cost = msec(1);
-  cfg.vertex_cost = usec(10);
   cfg.time_scale = 0.01;  // execute 100x faster than nominal
-  const RunMetrics thr_m = runtime::run_threaded(*algo, *q, cfg, wl);
+  const sched::PhasePipeline live(*algo, *q, live_config());
+  runtime::ThreadedBackend thr_backend(cfg);
+  const RunMetrics thr_m = live.run(wl, thr_backend);
 
   EXPECT_EQ(sim_m.total_tasks, wl.size());
   EXPECT_EQ(sim_m.scheduled, wl.size());
@@ -82,7 +91,7 @@ TEST(BackendParityTest, SimAndThreadedAgreeOnScheduledAndCulled) {
 }
 
 TEST(BackendParityTest, PartitionedSingleHostMatchesSimBackendExactly) {
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(10));
   const std::vector<Task> wl = parity_workload();
   const sched::PhasePipeline pipeline(*algo, *q);
@@ -134,7 +143,7 @@ TEST(BackendParityTest, PartitionedSingleHostMatchesSimBackendExactly) {
 TEST(BackendParityTest, ObserverSeesPhasesOnEveryBackend) {
   // Phase tracing used to be a DES-only feature; through the unified
   // pipeline the threaded deployment reports phases identically.
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(10));
   const std::vector<Task> wl = parity_workload();
 
@@ -151,10 +160,10 @@ TEST(BackendParityTest, ObserverSeesPhasesOnEveryBackend) {
   runtime::RuntimeConfig cfg;
   cfg.num_workers = kWorkers;
   cfg.comm_cost = msec(1);
-  cfg.vertex_cost = usec(10);
   cfg.time_scale = 0.01;
-  const RunMetrics thr_m =
-      runtime::run_threaded(*algo, *q, cfg, wl, &thr_trace);
+  const sched::PhasePipeline live(*algo, *q, live_config());
+  runtime::ThreadedBackend thr_backend(cfg);
+  const RunMetrics thr_m = live.run(wl, thr_backend, &thr_trace);
   EXPECT_EQ(thr_trace.records().size(), thr_m.phases);
   ASSERT_FALSE(thr_trace.records().empty());
   EXPECT_EQ(thr_trace.records().front().batch_size, wl.size());

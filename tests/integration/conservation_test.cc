@@ -20,8 +20,8 @@
 #include "sched/ledger.h"
 #include "sched/partitioned.h"
 #include "sched/pipeline.h"
-#include "sched/presets.h"
 #include "sched/quantum.h"
+#include "sched/registry.h"
 #include "sim/simulator.h"
 #include "tasks/workload.h"
 
@@ -72,7 +72,7 @@ std::vector<tasks::Task> random_workload(std::uint64_t seed,
 }
 
 TEST(ConservationTest, SimBackendConservesOnRandomWorkloads) {
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(10));
   const sched::PhasePipeline pipeline(*algo, *q);
   for (std::uint64_t seed : {11u, 12u, 13u}) {
@@ -91,7 +91,7 @@ TEST(ConservationTest, SimBackendConservesOnRandomWorkloads) {
 }
 
 TEST(ConservationTest, PartitionedBackendConservesPerShardAndInTotal) {
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(10));
   sched::PartitionedConfig cfg;
   cfg.num_shards = 2;
@@ -111,7 +111,7 @@ TEST(ConservationTest, PartitionedBackendConservesPerShardAndInTotal) {
 }
 
 TEST(ConservationTest, ThreadedBackendConservesOnRandomWorkloads) {
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(10));
   for (std::uint64_t seed : {31u, 32u}) {
     const auto wl = random_workload(seed, 60, 3, 30.0, 60.0);
@@ -120,7 +120,6 @@ TEST(ConservationTest, ThreadedBackendConservesOnRandomWorkloads) {
     cfg.comm_cost = msec(1);
     cfg.time_scale = 0.05;
     sched::PipelineConfig pcfg;
-    pcfg.vertex_generation_cost = cfg.vertex_cost;
     pcfg.phase_overhead = SimDuration::zero();
     const sched::PhasePipeline pipeline(*algo, *q, pcfg);
     runtime::ThreadedBackend backend(cfg);
@@ -134,7 +133,7 @@ TEST(ConservationTest, FloodedTinyMailboxLosesNoTask) {
   // Regression for the PR-1 silent-loss bug: a single-slot mailbox under a
   // 24-task burst forces overflow; every refused task must later be
   // executed or explicitly rejected — never unaccounted.
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(10));
   std::vector<tasks::Task> wl;
   for (std::uint32_t i = 0; i < 24; ++i) {
@@ -151,7 +150,6 @@ TEST(ConservationTest, FloodedTinyMailboxLosesNoTask) {
   cfg.comm_cost = msec(1);
   cfg.mailbox_capacity = 1;
   sched::PipelineConfig pcfg;
-  pcfg.vertex_generation_cost = cfg.vertex_cost;
   pcfg.phase_overhead = SimDuration::zero();
   pcfg.max_delivery_attempts = 0;  // readmit until delivered or culled
   const sched::PhasePipeline pipeline(*algo, *q, pcfg);
@@ -172,7 +170,7 @@ TEST(ConservationTest, FloodedTinyMailboxLosesNoTask) {
 TEST(ConservationTest, BoundedAttemptsRejectInsteadOfLosing) {
   // Same flood with a delivery budget of 2: some tasks are retired as
   // explicit rejections, and the books still balance exactly.
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(10));
   std::vector<tasks::Task> wl;
   for (std::uint32_t i = 0; i < 24; ++i) {
@@ -190,7 +188,6 @@ TEST(ConservationTest, BoundedAttemptsRejectInsteadOfLosing) {
   cfg.mailbox_capacity = 1;
   cfg.delivery_retries = 0;
   sched::PipelineConfig pcfg;
-  pcfg.vertex_generation_cost = cfg.vertex_cost;
   pcfg.phase_overhead = SimDuration::zero();
   pcfg.max_delivery_attempts = 2;
   pcfg.delivery_backpressure = SimDuration::zero();  // hot loop on purpose

@@ -1,49 +1,58 @@
 // Integration tests of the live threaded runtime. Wall-clock timing is
 // inherently noisy, so deadlines here carry generous margins; the strong
 // assertions are bookkeeping invariants, not exact latencies.
-#include "runtime/threaded_runtime.h"
+#include "runtime/threaded_backend.h"
 
 #include <gtest/gtest.h>
 
 #include "common/error.h"
 #include "common/rng.h"
-#include "sched/presets.h"
+#include "sched/pipeline.h"
 #include "sched/quantum.h"
+#include "sched/registry.h"
 #include "tasks/workload.h"
 
 namespace rtds::runtime {
 namespace {
 
+using sched::PhasePipeline;
+using sched::RunMetrics;
+
 RuntimeConfig fast_config(std::uint32_t workers) {
   RuntimeConfig cfg;
   cfg.num_workers = workers;
   cfg.comm_cost = msec(1);
-  cfg.vertex_cost = usec(10);
   cfg.time_scale = 1.0;
   return cfg;
 }
 
+/// A live phase costs the wall time its search took, so the pipeline
+/// charges no synthetic per-phase overhead.
+sched::PipelineConfig live_config() {
+  sched::PipelineConfig cfg;
+  cfg.phase_overhead = SimDuration::zero();
+  return cfg;
+}
+
 TEST(ThreadedRuntimeTest, EmptyWorkload) {
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(5));
-  const RuntimeReport r =
-      run_threaded(*algo, *q, fast_config(2), {});
+  ThreadedBackend backend(fast_config(2));
+  const RunMetrics r = PhasePipeline(*algo, *q, live_config()).run({}, backend);
   EXPECT_EQ(r.total_tasks, 0u);
   EXPECT_DOUBLE_EQ(r.hit_ratio(), 1.0);
 }
 
 TEST(ThreadedRuntimeTest, ValidatesConfig) {
-  const auto algo = sched::make_rt_sads();
-  const auto q = sched::make_self_adjusting_quantum(usec(200), msec(5));
   RuntimeConfig cfg = fast_config(0);
-  EXPECT_THROW(run_threaded(*algo, *q, cfg, {}), InvalidArgument);
+  EXPECT_THROW(ThreadedBackend{cfg}, InvalidArgument);
   cfg = fast_config(2);
   cfg.time_scale = 0.0;
-  EXPECT_THROW(run_threaded(*algo, *q, cfg, {}), InvalidArgument);
+  EXPECT_THROW(ThreadedBackend{cfg}, InvalidArgument);
 }
 
 TEST(ThreadedRuntimeTest, RejectsUnsortedWorkload) {
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(5));
   std::vector<tasks::Task> wl(2);
   wl[0].id = 0;
@@ -54,12 +63,13 @@ TEST(ThreadedRuntimeTest, RejectsUnsortedWorkload) {
   wl[1] = wl[0];
   wl[1].id = 1;
   wl[1].arrival = SimTime{0};
-  EXPECT_THROW(run_threaded(*algo, *q, fast_config(2), wl),
+  ThreadedBackend backend(fast_config(2));
+  EXPECT_THROW(PhasePipeline(*algo, *q, live_config()).run(wl, backend),
                InvalidArgument);
 }
 
 TEST(ThreadedRuntimeTest, BooksBalanceOnBurstyWorkload) {
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(10));
   tasks::WorkloadConfig wc;
   wc.num_tasks = 60;
@@ -71,7 +81,8 @@ TEST(ThreadedRuntimeTest, BooksBalanceOnBurstyWorkload) {
   wc.laxity_max = 60.0;
   Xoshiro256ss rng(3);
   const auto wl = tasks::generate_workload(wc, rng);
-  const RuntimeReport r = run_threaded(*algo, *q, fast_config(4), wl);
+  ThreadedBackend backend(fast_config(4));
+  const RunMetrics r = PhasePipeline(*algo, *q, live_config()).run(wl, backend);
   EXPECT_EQ(r.total_tasks, 60u);
   EXPECT_EQ(r.deadline_hits + r.exec_misses, r.scheduled);
   EXPECT_LE(r.scheduled + r.culled, r.total_tasks);
@@ -85,7 +96,7 @@ TEST(ThreadedRuntimeTest, GangWorkloadBooksBalanceLive) {
   // Gangs hold k mailboxes at once: the all-or-nothing reservation must
   // neither deadlock the host nor lose a task, and with generous laxity
   // the terminal books balance exactly like the singleton case.
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(10));
   tasks::WorkloadConfig wc;
   wc.num_tasks = 40;
@@ -102,7 +113,8 @@ TEST(ThreadedRuntimeTest, GangWorkloadBooksBalanceLive) {
   bool any_gang = false;
   for (const auto& t : wl) any_gang = any_gang || t.workers_required > 1;
   ASSERT_TRUE(any_gang);
-  const RuntimeReport r = run_threaded(*algo, *q, fast_config(4), wl);
+  ThreadedBackend backend(fast_config(4));
+  const RunMetrics r = PhasePipeline(*algo, *q, live_config()).run(wl, backend);
   EXPECT_EQ(r.total_tasks, 40u);
   EXPECT_EQ(r.deadline_hits + r.exec_misses, r.scheduled);
   EXPECT_LE(r.scheduled + r.culled, r.total_tasks);
@@ -110,7 +122,7 @@ TEST(ThreadedRuntimeTest, GangWorkloadBooksBalanceLive) {
 }
 
 TEST(ThreadedRuntimeTest, PoissonArrivalsDrainCompletely) {
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(10));
   tasks::WorkloadConfig wc;
   wc.num_tasks = 40;
@@ -124,13 +136,14 @@ TEST(ThreadedRuntimeTest, PoissonArrivalsDrainCompletely) {
   wc.laxity_max = 100.0;
   Xoshiro256ss rng(4);
   const auto wl = tasks::generate_workload(wc, rng);
-  const RuntimeReport r = run_threaded(*algo, *q, fast_config(3), wl);
+  ThreadedBackend backend(fast_config(3));
+  const RunMetrics r = PhasePipeline(*algo, *q, live_config()).run(wl, backend);
   EXPECT_EQ(r.scheduled + r.culled, r.total_tasks);
   EXPECT_GT(r.finish_time, SimTime::zero());
 }
 
 TEST(ThreadedRuntimeTest, DColsAlsoRunsLive) {
-  const auto algo = sched::make_d_cols();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("d_cols");
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(10));
   tasks::WorkloadConfig wc;
   wc.num_tasks = 30;
@@ -141,13 +154,14 @@ TEST(ThreadedRuntimeTest, DColsAlsoRunsLive) {
   wc.laxity_max = 80.0;
   Xoshiro256ss rng(5);
   const auto wl = tasks::generate_workload(wc, rng);
-  const RuntimeReport r = run_threaded(*algo, *q, fast_config(2), wl);
+  ThreadedBackend backend(fast_config(2));
+  const RunMetrics r = PhasePipeline(*algo, *q, live_config()).run(wl, backend);
   EXPECT_EQ(r.deadline_hits + r.exec_misses, r.scheduled);
   EXPECT_GT(r.scheduled, 0u);
 }
 
 TEST(ThreadedRuntimeTest, TimeScaleShrinksWallTime) {
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(10));
   tasks::WorkloadConfig wc;
   wc.num_tasks = 20;
@@ -160,7 +174,8 @@ TEST(ThreadedRuntimeTest, TimeScaleShrinksWallTime) {
   const auto wl = tasks::generate_workload(wc, rng);
   RuntimeConfig cfg = fast_config(2);
   cfg.time_scale = 0.25;  // execute at 4x speed
-  const RuntimeReport r = run_threaded(*algo, *q, cfg, wl);
+  ThreadedBackend backend(cfg);
+  const RunMetrics r = PhasePipeline(*algo, *q, live_config()).run(wl, backend);
   EXPECT_EQ(r.scheduled + r.culled, r.total_tasks);
   // 20 tasks * <=4ms at scale 0.25 over 2 workers: well under a second.
   EXPECT_LT(r.finish_time - SimTime::zero(), sec(2));
@@ -172,7 +187,7 @@ TEST(ThreadedRuntimeTest, MailboxOverflowIsRecoveredNotLost) {
   // counted and readmitted, and with two-minute deadlines every task is
   // eventually executed (or, if its delivery budget runs out, explicitly
   // rejected). No task may simply vanish.
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(10));
   std::vector<tasks::Task> wl;
   for (std::uint32_t i = 0; i < 16; ++i) {
@@ -186,8 +201,10 @@ TEST(ThreadedRuntimeTest, MailboxOverflowIsRecoveredNotLost) {
   }
   RuntimeConfig cfg = fast_config(1);
   cfg.mailbox_capacity = 1;
-  cfg.max_delivery_attempts = 0;  // readmit until delivered or culled
-  const RuntimeReport r = run_threaded(*algo, *q, cfg, wl);
+  sched::PipelineConfig pcfg = live_config();
+  pcfg.max_delivery_attempts = 0;  // readmit until delivered or culled
+  ThreadedBackend backend(cfg);
+  const RunMetrics r = PhasePipeline(*algo, *q, pcfg).run(wl, backend);
   EXPECT_GT(r.overflow_drops, 0u);
   EXPECT_GT(r.readmissions, 0u);
   EXPECT_EQ(r.deadline_hits + r.exec_misses, r.scheduled);
@@ -201,7 +218,7 @@ TEST(ThreadedRuntimeTest, MailboxOverflowIsRecoveredNotLost) {
 TEST(ThreadedRuntimeTest, ExhaustedDeliveryBudgetRejectsExplicitly) {
   // With readmission disabled (budget of one attempt), a refused delivery
   // is retired as an explicit rejection — still never a silent loss.
-  const auto algo = sched::make_rt_sads();
+  const auto algo = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = sched::make_self_adjusting_quantum(usec(200), msec(10));
   std::vector<tasks::Task> wl;
   for (std::uint32_t i = 0; i < 12; ++i) {
@@ -215,9 +232,11 @@ TEST(ThreadedRuntimeTest, ExhaustedDeliveryBudgetRejectsExplicitly) {
   }
   RuntimeConfig cfg = fast_config(1);
   cfg.mailbox_capacity = 1;
-  cfg.max_delivery_attempts = 1;  // no readmission
-  cfg.delivery_retries = 0;       // and no in-backend backoff either
-  const RuntimeReport r = run_threaded(*algo, *q, cfg, wl);
+  cfg.delivery_retries = 0;  // no in-backend backoff
+  sched::PipelineConfig pcfg = live_config();
+  pcfg.max_delivery_attempts = 1;  // and no readmission either
+  ThreadedBackend backend(cfg);
+  const RunMetrics r = PhasePipeline(*algo, *q, pcfg).run(wl, backend);
   EXPECT_GT(r.rejected, 0u);
   EXPECT_EQ(r.readmissions, 0u);
   EXPECT_EQ(r.overflow_drops, r.rejected);  // one refusal retires a task

@@ -1,10 +1,11 @@
-#include "sched/driver.h"
+#include "sched/pipeline.h"
 
 #include <gtest/gtest.h>
 
 #include "common/error.h"
 #include "common/rng.h"
-#include "sched/presets.h"
+#include "sched/backend.h"
+#include "sched/registry.h"
 #include "tasks/workload.h"
 
 namespace rtds::sched {
@@ -29,14 +30,15 @@ struct Fixture {
                 machine::Interconnect::cut_through(workers, comm)) {}
   machine::Cluster cluster;
   sim::Simulator sim;
+  SimBackend backend{cluster, sim};
 };
 
 TEST(PhaseSchedulerTest, EmptyWorkload) {
   Fixture f(2);
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = make_self_adjusting_quantum();
-  const PhaseScheduler sched(*algo, *q);
-  const RunMetrics m = sched.run({}, f.cluster, f.sim);
+  const PhasePipeline pipeline(*algo, *q);
+  const RunMetrics m = pipeline.run({}, f.backend);
   EXPECT_EQ(m.total_tasks, 0u);
   EXPECT_EQ(m.phases, 0u);
   EXPECT_DOUBLE_EQ(m.hit_ratio(), 1.0);
@@ -44,34 +46,34 @@ TEST(PhaseSchedulerTest, EmptyWorkload) {
 
 TEST(PhaseSchedulerTest, RejectsUnsortedWorkload) {
   Fixture f(2);
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = make_self_adjusting_quantum();
-  const PhaseScheduler sched(*algo, *q);
+  const PhasePipeline pipeline(*algo, *q);
   std::vector<Task> wl{
       make_task(0, SimTime{100}, msec(1), SimTime{100000},
                 AffinitySet::all(2)),
       make_task(1, SimTime{50}, msec(1), SimTime{100000},
                 AffinitySet::all(2))};
-  EXPECT_THROW(sched.run(wl, f.cluster, f.sim), InvalidArgument);
+  EXPECT_THROW(pipeline.run(wl, f.backend), InvalidArgument);
 }
 
 TEST(PhaseSchedulerTest, ValidatesVertexCost) {
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = make_self_adjusting_quantum();
-  DriverConfig cfg;
+  PipelineConfig cfg;
   cfg.vertex_generation_cost = SimDuration::zero();
-  EXPECT_THROW(PhaseScheduler(*algo, *q, cfg), InvalidArgument);
+  EXPECT_THROW(PhasePipeline(*algo, *q, cfg), InvalidArgument);
 }
 
 TEST(PhaseSchedulerTest, SingleTaskIsScheduledAndHits) {
   Fixture f(2);
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = make_self_adjusting_quantum(usec(100), msec(10));
-  const PhaseScheduler sched(*algo, *q);
+  const PhasePipeline pipeline(*algo, *q);
   const std::vector<Task> wl{make_task(
       0, SimTime::zero(), msec(5), SimTime::zero() + msec(60),
       AffinitySet::single(1))};
-  const RunMetrics m = sched.run(wl, f.cluster, f.sim);
+  const RunMetrics m = pipeline.run(wl, f.backend);
   EXPECT_EQ(m.scheduled, 1u);
   EXPECT_EQ(m.deadline_hits, 1u);
   EXPECT_EQ(m.exec_misses, 0u);
@@ -86,15 +88,15 @@ TEST(PhaseSchedulerTest, SingleTaskIsScheduledAndHits) {
 TEST(PhaseSchedulerTest, SchedulingOverheadDelaysExecution) {
   // The first delivery cannot happen before one phase has been paid for.
   Fixture f(1, SimDuration::zero());
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = make_self_adjusting_quantum(usec(100), msec(10));
-  DriverConfig cfg;
+  PipelineConfig cfg;
   cfg.vertex_generation_cost = usec(10);
-  const PhaseScheduler sched(*algo, *q, cfg);
+  const PhasePipeline pipeline(*algo, *q, cfg);
   const std::vector<Task> wl{make_task(0, SimTime::zero(), msec(1),
                                        SimTime::zero() + msec(50),
                                        AffinitySet::single(0))};
-  const RunMetrics m = sched.run(wl, f.cluster, f.sim);
+  const RunMetrics m = pipeline.run(wl, f.backend);
   EXPECT_EQ(m.deadline_hits, 1u);
   ASSERT_EQ(f.cluster.log().size(), 1u);
   EXPECT_GT(f.cluster.log()[0].start, SimTime::zero());
@@ -106,14 +108,14 @@ TEST(PhaseSchedulerTest, SchedulingOverheadDelaysExecution) {
 
 TEST(PhaseSchedulerTest, UnreachableTaskIsCulledNotExecuted) {
   Fixture f(2);
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = make_self_adjusting_quantum(usec(100), msec(10));
-  const PhaseScheduler sched(*algo, *q);
+  const PhasePipeline pipeline(*algo, *q);
   // Deadline < processing: unreachable from the start.
   const std::vector<Task> wl{make_task(0, SimTime::zero(), msec(10),
                                        SimTime::zero() + msec(2),
                                        AffinitySet::all(2))};
-  const RunMetrics m = sched.run(wl, f.cluster, f.sim);
+  const RunMetrics m = pipeline.run(wl, f.backend);
   EXPECT_EQ(m.culled, 1u);
   EXPECT_EQ(m.scheduled, 0u);
   EXPECT_EQ(f.cluster.stats().executed, 0u);
@@ -122,28 +124,28 @@ TEST(PhaseSchedulerTest, UnreachableTaskIsCulledNotExecuted) {
 TEST(PhaseSchedulerTest, TaskInfeasibleOnlyByCommCostGetsAffineWorker) {
   // Tight deadline, huge C: only the affine worker works.
   Fixture f(4, sec(10));
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = make_self_adjusting_quantum(usec(100), msec(5));
-  const PhaseScheduler sched(*algo, *q);
+  const PhasePipeline pipeline(*algo, *q);
   const std::vector<Task> wl{make_task(0, SimTime::zero(), msec(5),
                                        SimTime::zero() + msec(60),
                                        AffinitySet::single(3))};
-  const RunMetrics m = sched.run(wl, f.cluster, f.sim);
+  const RunMetrics m = pipeline.run(wl, f.backend);
   EXPECT_EQ(m.deadline_hits, 1u);
   EXPECT_EQ(f.cluster.log()[0].worker, 3u);
 }
 
 TEST(PhaseSchedulerTest, LateArrivalsWakeTheScheduler) {
   Fixture f(2);
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = make_self_adjusting_quantum(usec(100), msec(10));
-  const PhaseScheduler sched(*algo, *q);
+  const PhasePipeline pipeline(*algo, *q);
   std::vector<Task> wl;
   wl.push_back(make_task(0, SimTime::zero(), msec(2),
                          SimTime::zero() + msec(40), AffinitySet::all(2)));
   wl.push_back(make_task(1, SimTime::zero() + msec(100), msec(2),
                          SimTime::zero() + msec(140), AffinitySet::all(2)));
-  const RunMetrics m = sched.run(wl, f.cluster, f.sim);
+  const RunMetrics m = pipeline.run(wl, f.backend);
   EXPECT_EQ(m.deadline_hits, 2u);
   // Second task cannot start before it arrives.
   ASSERT_EQ(f.cluster.log().size(), 2u);
@@ -154,9 +156,9 @@ TEST(PhaseSchedulerTest, ScheduledTasksNeverReenterBatches) {
   // If a task were double-delivered the executed count would exceed the
   // scheduled count; run a busy workload and check the books balance.
   Fixture f(3);
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = make_self_adjusting_quantum(usec(100), msec(5));
-  const PhaseScheduler sched(*algo, *q);
+  const PhasePipeline pipeline(*algo, *q);
   tasks::WorkloadConfig wc;
   wc.num_tasks = 150;
   wc.num_processors = 3;
@@ -166,7 +168,7 @@ TEST(PhaseSchedulerTest, ScheduledTasksNeverReenterBatches) {
   wc.laxity_max = 12.0;
   Xoshiro256ss rng(5);
   const auto wl = tasks::generate_workload(wc, rng);
-  const RunMetrics m = sched.run(wl, f.cluster, f.sim);
+  const RunMetrics m = pipeline.run(wl, f.backend);
   EXPECT_EQ(f.cluster.stats().executed, m.scheduled);
   EXPECT_LE(m.scheduled + m.culled, m.total_tasks);
   EXPECT_EQ(m.scheduled, m.deadline_hits + m.exec_misses);
@@ -174,30 +176,32 @@ TEST(PhaseSchedulerTest, ScheduledTasksNeverReenterBatches) {
 
 TEST(PhaseSchedulerTest, MetricsAreDeltasOnReusedCluster) {
   Fixture f(2);
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = make_self_adjusting_quantum(usec(100), msec(10));
-  const PhaseScheduler sched(*algo, *q);
+  const PhasePipeline pipeline(*algo, *q);
   const std::vector<Task> wl1{make_task(0, SimTime::zero(), msec(2),
                                         SimTime::zero() + msec(40),
                                         AffinitySet::all(2))};
-  const RunMetrics m1 = sched.run(wl1, f.cluster, f.sim);
+  const RunMetrics m1 = pipeline.run(wl1, f.backend);
   EXPECT_EQ(m1.deadline_hits, 1u);
-  // Second run on the same cluster/sim: its own hit counts only.
+  // Second run on the same cluster/sim through a fresh backend: its own
+  // hit counts only.
   const std::vector<Task> wl2{
       make_task(10, f.sim.now(), msec(2), f.sim.now() + msec(40),
                 AffinitySet::all(2)),
       make_task(11, f.sim.now(), msec(2), f.sim.now() + msec(40),
                 AffinitySet::all(2))};
-  const RunMetrics m2 = sched.run(wl2, f.cluster, f.sim);
+  SimBackend second(f.cluster, f.sim);
+  const RunMetrics m2 = pipeline.run(wl2, second);
   EXPECT_EQ(m2.total_tasks, 2u);
   EXPECT_EQ(m2.deadline_hits, 2u);
 }
 
 TEST(PhaseSchedulerTest, FixedQuantumAlsoDrivesPipeline) {
   Fixture f(2);
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto q = make_fixed_quantum(msec(2));
-  const PhaseScheduler sched(*algo, *q);
+  const PhasePipeline pipeline(*algo, *q);
   tasks::WorkloadConfig wc;
   wc.num_tasks = 40;
   wc.num_processors = 2;
@@ -205,7 +209,7 @@ TEST(PhaseSchedulerTest, FixedQuantumAlsoDrivesPipeline) {
   wc.laxity_max = 10.0;
   Xoshiro256ss rng(6);
   const auto wl = tasks::generate_workload(wc, rng);
-  const RunMetrics m = sched.run(wl, f.cluster, f.sim);
+  const RunMetrics m = pipeline.run(wl, f.backend);
   EXPECT_GT(m.phases, 0u);
   EXPECT_EQ(m.exec_misses, 0u);
   // Each phase's allocation is exactly the fixed quantum.
@@ -213,12 +217,11 @@ TEST(PhaseSchedulerTest, FixedQuantumAlsoDrivesPipeline) {
 }
 
 TEST(PhaseSchedulerTest, GreedyBaselinesRunToCompletion) {
-  for (const auto& factory :
-       {make_edf_first_fit, make_edf_best_fit}) {
+  for (const char* spec : {"edf_ff", "edf_bf"}) {
     Fixture f(3);
-    const auto algo = factory();
+    const auto algo = AlgorithmRegistry::builtin().make(spec);
     const auto q = make_self_adjusting_quantum(usec(100), msec(5));
-    const PhaseScheduler sched(*algo, *q);
+    const PhasePipeline pipeline(*algo, *q);
     tasks::WorkloadConfig wc;
     wc.num_tasks = 100;
     wc.num_processors = 3;
@@ -226,7 +229,7 @@ TEST(PhaseSchedulerTest, GreedyBaselinesRunToCompletion) {
     wc.laxity_max = 10.0;
     Xoshiro256ss rng(7);
     const auto wl = tasks::generate_workload(wc, rng);
-    const RunMetrics m = sched.run(wl, f.cluster, f.sim);
+    const RunMetrics m = pipeline.run(wl, f.backend);
     EXPECT_EQ(m.exec_misses, 0u);
     EXPECT_EQ(m.scheduled + m.culled, m.total_tasks);
   }
@@ -234,9 +237,9 @@ TEST(PhaseSchedulerTest, GreedyBaselinesRunToCompletion) {
 
 TEST(PhaseSchedulerTest, HitRatioBetweenZeroAndOne) {
   Fixture f(4);
-  const auto algo = make_d_cols();
+  const auto algo = AlgorithmRegistry::builtin().make("d_cols");
   const auto q = make_self_adjusting_quantum(usec(100), msec(5));
-  const PhaseScheduler sched(*algo, *q);
+  const PhasePipeline pipeline(*algo, *q);
   tasks::WorkloadConfig wc;
   wc.num_tasks = 120;
   wc.num_processors = 4;
@@ -244,7 +247,7 @@ TEST(PhaseSchedulerTest, HitRatioBetweenZeroAndOne) {
   wc.laxity_max = 6.0;
   Xoshiro256ss rng(8);
   const auto wl = tasks::generate_workload(wc, rng);
-  const RunMetrics m = sched.run(wl, f.cluster, f.sim);
+  const RunMetrics m = pipeline.run(wl, f.backend);
   EXPECT_GE(m.hit_ratio(), 0.0);
   EXPECT_LE(m.hit_ratio(), 1.0);
   EXPECT_EQ(m.misses() + m.deadline_hits, m.total_tasks);

@@ -1,6 +1,6 @@
 // String-keyed algorithm registry: spec parsing, canonical-name fixpoint,
-// malformed-spec rejection, and config equivalence with the presets the
-// FIG5/FIG6 goldens are pinned to.
+// malformed-spec rejection, and the search configs the FIG5/FIG6 goldens
+// are pinned to.
 #include "sched/registry.h"
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include "common/error.h"
 #include "sched/algorithm.h"
 #include "sched/portfolio.h"
-#include "sched/presets.h"
 
 namespace rtds::sched {
 namespace {
@@ -110,31 +109,34 @@ TEST(RegistryTest, RejectsMalformedSpecs) {
 }
 
 TEST(RegistryTest, SearchEntrantsMatchThePresetConfigs) {
-  // The FIG5/FIG6 goldens pin the preset-built RT-SADS and D-COLS; the
-  // registry entries must build byte-equal SearchConfigs or the goldens
-  // and the registry would silently diverge.
-  const auto config_of = [](const PhaseAlgorithm& a) {
-    const auto* ts = dynamic_cast<const TreeSearchAlgorithm*>(&a);
-    EXPECT_NE(ts, nullptr);
-    return ts->search_config();
+  // The FIG5/FIG6 goldens pin RT-SADS and D-COLS as exactly these search
+  // configs; a registry entry that drifts from them moves the goldens.
+  using search::LevelProcessorOrder;
+  using search::ProcessorOrder;
+  using search::Representation;
+  using search::SearchStrategy;
+  using search::TaskOrder;
+  const auto expect_config = [](const std::string& spec, Representation repr,
+                                bool cost, std::uint32_t max_successors) {
+    const auto algo = reg().make(spec);
+    const auto* ts = dynamic_cast<const TreeSearchAlgorithm*>(algo.get());
+    ASSERT_NE(ts, nullptr) << spec;
+    const search::SearchConfig& c = ts->search_config();
+    EXPECT_EQ(c.representation, repr) << spec;
+    EXPECT_EQ(c.strategy, SearchStrategy::kDepthFirst) << spec;
+    EXPECT_EQ(c.task_order, TaskOrder::kEarliestDeadline) << spec;
+    EXPECT_EQ(c.processor_order, ProcessorOrder::kMinEndOffset) << spec;
+    EXPECT_EQ(c.level_processor_order, LevelProcessorOrder::kRoundRobin)
+        << spec;
+    EXPECT_EQ(c.use_load_balance_cost, cost) << spec;
+    EXPECT_EQ(c.max_successors, max_successors) << spec;
   };
-  const auto expect_same = [&](const PhaseAlgorithm& a,
-                               const PhaseAlgorithm& b) {
-    const auto ca = config_of(a);
-    const auto cb = config_of(b);
-    EXPECT_EQ(ca.representation, cb.representation);
-    EXPECT_EQ(ca.strategy, cb.strategy);
-    EXPECT_EQ(ca.task_order, cb.task_order);
-    EXPECT_EQ(ca.processor_order, cb.processor_order);
-    EXPECT_EQ(ca.level_processor_order, cb.level_processor_order);
-    EXPECT_EQ(ca.use_load_balance_cost, cb.use_load_balance_cost);
-    EXPECT_EQ(ca.max_successors, cb.max_successors);
-  };
-  expect_same(*reg().make("rt_sads"), *make_rt_sads());
-  expect_same(*reg().make("d_cols"), *make_d_cols());
-  expect_same(*reg().make("d_cols?max_successors=3"), *make_d_cols_pruned(3));
+  expect_config("rt_sads", Representation::kAssignmentOriented, true, 0);
+  expect_config("d_cols", Representation::kSequenceOriented, false, 0);
+  expect_config("d_cols?max_successors=3", Representation::kSequenceOriented,
+                false, 3);
   // The generic `search` key defaults to the RT-SADS configuration.
-  expect_same(*reg().make("search"), *make_rt_sads());
+  expect_config("search", Representation::kAssignmentOriented, true, 0);
 }
 
 TEST(RegistryTest, ThreadsParameterReachesTheAlgorithm) {

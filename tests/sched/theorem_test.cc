@@ -15,8 +15,9 @@
 
 #include "common/rng.h"
 #include "machine/cluster.h"
-#include "sched/driver.h"
-#include "sched/presets.h"
+#include "sched/backend.h"
+#include "sched/pipeline.h"
+#include "sched/registry.h"
 #include "sim/simulator.h"
 #include "tasks/workload.h"
 
@@ -28,13 +29,13 @@ enum class Algo { kRtSads, kDCols, kEdfBestFit, kMyopic };
 std::unique_ptr<PhaseAlgorithm> make_algo(Algo a) {
   switch (a) {
     case Algo::kRtSads:
-      return make_rt_sads();
+      return AlgorithmRegistry::builtin().make("rt_sads");
     case Algo::kDCols:
-      return make_d_cols();
+      return AlgorithmRegistry::builtin().make("d_cols");
     case Algo::kEdfBestFit:
-      return make_edf_best_fit();
+      return AlgorithmRegistry::builtin().make("edf_bf");
     case Algo::kMyopic:
-      return make_myopic();
+      return AlgorithmRegistry::builtin().make("myopic");
   }
   return nullptr;
 }
@@ -83,8 +84,9 @@ TEST_P(CorrectionTheoremTest, NoScheduledTaskMissesItsDeadline) {
     Xoshiro256ss rng(seed);
     const auto wl = tasks::generate_workload(wc, rng);
 
-    const PhaseScheduler sched(*algo, *quantum);
-    const RunMetrics m = sched.run(wl, cluster, sim);
+    SimBackend backend(cluster, sim);
+    const PhasePipeline pipeline(*algo, *quantum);
+    const RunMetrics m = pipeline.run(wl, backend);
 
     EXPECT_EQ(m.exec_misses, 0u)
         << "theorem violated: algo=" << algo_name(algo_kind)
@@ -137,10 +139,11 @@ TEST(CorrectionTheoremNegativeControl, WorkloadsWouldMissWithoutTheBound) {
   wc.laxity_max = 3.0;
   Xoshiro256ss rng(44);
   const auto wl = tasks::generate_workload(wc, rng);
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto quantum = make_self_adjusting_quantum(usec(100), msec(20));
-  const PhaseScheduler sched(*algo, *quantum);
-  const RunMetrics m = sched.run(wl, cluster, sim);
+  SimBackend backend(cluster, sim);
+  const PhasePipeline pipeline(*algo, *quantum);
+  const RunMetrics m = pipeline.run(wl, backend);
   ASSERT_EQ(m.exec_misses, 0u);
   // Some tasks must have finished close to their deadlines: the margin
   // distribution should reach below the max quantum, showing the bound was

@@ -6,8 +6,9 @@
 
 #include "common/rng.h"
 #include "machine/cluster.h"
-#include "sched/driver.h"
-#include "sched/presets.h"
+#include "sched/backend.h"
+#include "sched/pipeline.h"
+#include "sched/registry.h"
 #include "sim/simulator.h"
 #include "tasks/workload.h"
 
@@ -24,7 +25,7 @@ TracedRun run_traced(std::uint32_t num_tasks, std::uint64_t seed) {
   machine::Cluster cluster(3,
                            machine::Interconnect::cut_through(3, msec(2)));
   sim::Simulator sim;
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto quantum = make_self_adjusting_quantum(usec(200), msec(10));
   tasks::WorkloadConfig wc;
   wc.num_tasks = num_tasks;
@@ -35,8 +36,9 @@ TracedRun run_traced(std::uint32_t num_tasks, std::uint64_t seed) {
   wc.laxity_max = 12.0;
   Xoshiro256ss rng(seed);
   const auto wl = tasks::generate_workload(wc, rng);
-  const PhaseScheduler sched(*algo, *quantum);
-  out.metrics = sched.run(wl, cluster, sim, &out.trace);
+  SimBackend backend(cluster, sim);
+  const PhasePipeline pipeline(*algo, *quantum);
+  out.metrics = pipeline.run(wl, backend, &out.trace);
   return out;
 }
 
@@ -113,15 +115,16 @@ TEST(PhaseTraceTest, NullObserverIsFine) {
   machine::Cluster cluster(2,
                            machine::Interconnect::cut_through(2, msec(2)));
   sim::Simulator sim;
-  const auto algo = make_rt_sads();
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
   const auto quantum = make_self_adjusting_quantum(usec(200), msec(10));
   tasks::WorkloadConfig wc;
   wc.num_tasks = 30;
   wc.num_processors = 2;
   Xoshiro256ss rng(7);
   const auto wl = tasks::generate_workload(wc, rng);
-  const PhaseScheduler sched(*algo, *quantum);
-  const RunMetrics m = sched.run(wl, cluster, sim, nullptr);
+  SimBackend backend(cluster, sim);
+  const PhasePipeline pipeline(*algo, *quantum);
+  const RunMetrics m = pipeline.run(wl, backend, nullptr);
   EXPECT_GT(m.phases, 0u);
 }
 

@@ -4,9 +4,10 @@
 #include "common/rng.h"
 #include "machine/cluster.h"
 #include "machine/validator.h"
+#include "sched/backend.h"
+#include "sched/pipeline.h"
+#include "sched/registry.h"
 #include "search/engine.h"
-#include "sched/driver.h"
-#include "sched/presets.h"
 #include "sim/simulator.h"
 #include "tasks/workload.h"
 
@@ -95,8 +96,8 @@ TEST(StartTimeClusterTest, WorkerIdlesUntilConstraint) {
 }
 
 TEST(StartTimeEndToEndTest, TheoremAndValidatorHoldWithConstraints) {
-  for (const auto& factory : {sched::make_rt_sads, sched::make_d_cols}) {
-    const auto algo = factory();
+  for (const char* spec : {"rt_sads", "d_cols"}) {
+    const auto algo = sched::AlgorithmRegistry::builtin().make(spec);
     machine::Cluster cluster(4,
                              machine::Interconnect::cut_through(4, msec(2)));
     sim::Simulator sim;
@@ -117,8 +118,9 @@ TEST(StartTimeEndToEndTest, TheoremAndValidatorHoldWithConstraints) {
     }
     ASSERT_TRUE(any_constrained);
 
-    const sched::PhaseScheduler scheduler(*algo, *quantum);
-    const sched::RunMetrics m = scheduler.run(wl, cluster, sim);
+    sched::SimBackend backend(cluster, sim);
+    const sched::PhasePipeline pipeline(*algo, *quantum);
+    const sched::RunMetrics m = pipeline.run(wl, backend);
     EXPECT_EQ(m.exec_misses, 0u) << algo->name();
     const machine::ValidationReport vr =
         machine::validate_execution(cluster, wl);
