@@ -1,16 +1,11 @@
-// Shared helpers for the figure/table benchmark binaries.
-//
-// Every bench prints (1) a fixed-width table mirroring the paper's series,
-// with mean ± 99% confidence half-width over the repeated runs, and (2) a
-// CSV block for plotting. Benches are plain executables (google-benchmark
-// is used by the micro benches); each runs in seconds.
+// Helpers shared by the plain-executable benches (bench_paper,
+// bench_search_throughput, bench_tournament, bench_streaming).
 #pragma once
 
 #include <cstdint>
 #include <iostream>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/rng.h"
 #include "exp/experiment.h"
@@ -29,25 +24,14 @@ inline std::unique_ptr<sched::PhaseAlgorithm> make_algo(
 }
 
 /// Workload seed for repetition `rep` of the named bench: a named rng
-/// substream off `base` (common/rng.h). All benches derive their seeds
-/// here — one convention instead of per-bench magic base-seed constants —
-/// and distinct names guarantee distinct streams even off the same base.
-inline std::uint64_t bench_seed(std::uint64_t base, const char* bench_name,
-                                std::uint64_t rep) {
-  return derive_seed(base, stream_id(bench_name), rep);
-}
-
-/// bench_seed() off the shared experiment default base seed, for benches
-/// that take no ExperimentConfig.
+/// substream off the shared experiment default base seed (common/rng.h).
+/// All benches derive their seeds here — one convention instead of
+/// per-bench magic base-seed constants — and distinct names guarantee
+/// distinct streams.
 inline std::uint64_t bench_seed(const char* bench_name, std::uint64_t rep) {
-  return bench_seed(exp::ExperimentConfig{}.base_seed, bench_name, rep);
+  return derive_seed(exp::ExperimentConfig{}.base_seed, stream_id(bench_name),
+                     rep);
 }
-
-/// One algorithm column of a figure: a display name plus its aggregate.
-struct Series {
-  std::string name;
-  std::vector<exp::Aggregate> points;
-};
 
 /// Prints the standard bench header.
 inline void print_header(const std::string& title,
@@ -60,48 +44,6 @@ inline void print_header(const std::string& title,
             << "Expected shape: " << expectation << "\n"
             << "==============================================================="
                "=\n";
-}
-
-/// Prints hit-ratio series over an x-axis: one row per x value, one column
-/// pair (mean ± ci) per algorithm; then the CSV block.
-inline void print_hit_ratio_table(const std::string& x_name,
-                                  const std::vector<std::string>& x_values,
-                                  const std::vector<Series>& series) {
-  std::vector<std::string> header{x_name};
-  for (const Series& s : series) {
-    header.push_back(s.name + " hit%");
-    header.push_back("±99%ci");
-  }
-  exp::TextTable table(header);
-  for (std::size_t i = 0; i < x_values.size(); ++i) {
-    std::vector<std::string> row{x_values[i]};
-    for (const Series& s : series) {
-      const auto& agg = s.points[i];
-      row.push_back(exp::fmt(agg.hit_ratio.mean() * 100.0, 1));
-      row.push_back(exp::fmt(confidence_interval(agg.hit_ratio) * 100.0, 1));
-    }
-    table.add_row(std::move(row));
-  }
-  table.print(std::cout);
-  std::cout << "\nCSV:\n";
-  table.print_csv(std::cout);
-  std::cout << "\n";
-}
-
-/// Prints the paper's difference-of-means protocol between the first two
-/// series at the given point index.
-inline void print_welch(const std::vector<Series>& series, std::size_t index,
-                        const std::string& where) {
-  if (series.size() < 2) return;
-  const WelchResult w =
-      exp::compare_hit_ratios(series[0].points[index], series[1].points[index]);
-  std::cout << "Two-tailed Welch difference-of-means at " << where << ": t="
-            << exp::fmt(w.t_statistic, 2)
-            << ", df=" << exp::fmt(w.degrees_of_freedom, 1)
-            << ", p=" << exp::fmt(w.p_value, 6)
-            << (w.significant(0.01) ? "  (significant at the paper's 0.01 level)"
-                                    : "  (NOT significant at 0.01)")
-            << "\n\n";
 }
 
 }  // namespace rtds::bench

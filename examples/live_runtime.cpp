@@ -3,9 +3,13 @@
 // (src/runtime). Execution is scaled down 4x so the demo finishes quickly.
 //
 //   ./build/examples/live_runtime [num_tasks] [workers]
+#include <charconv>
 #include <cstdlib>
 #include <iostream>
+#include <string>
+#include <vector>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "runtime/threaded_backend.h"
 #include "sched/pipeline.h"
@@ -13,13 +17,33 @@
 #include "sched/registry.h"
 #include "tasks/workload.h"
 
+namespace {
+
+[[noreturn]] void usage(const std::string& why) {
+  std::cerr << "error: " << why << "\n\n"
+            << "usage: live_runtime [num_tasks] [workers]\n";
+  std::exit(2);
+}
+
+/// Positional argument `i` as a whole unsigned number, `fallback` if absent.
+std::uint32_t parse_arg(int argc, char** argv, int i, std::uint32_t fallback) {
+  if (argc <= i) return fallback;
+  const std::string v = argv[i];
+  std::uint32_t out = 0;
+  const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+  if (v.empty() || ec != std::errc{} || ptr != v.data() + v.size()) {
+    usage("bad argument '" + v + "'");
+  }
+  return out;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace rtds;
 
-  const std::uint32_t num_tasks =
-      argc > 1 ? std::uint32_t(std::atoi(argv[1])) : 200;
-  const std::uint32_t workers =
-      argc > 2 ? std::uint32_t(std::atoi(argv[2])) : 4;
+  const std::uint32_t num_tasks = parse_arg(argc, argv, 1, 200);
+  const std::uint32_t workers = parse_arg(argc, argv, 2, 4);
 
   tasks::WorkloadConfig wc;
   wc.num_tasks = num_tasks;
@@ -32,7 +56,12 @@ int main(int argc, char** argv) {
   wc.laxity_min = 15.0;
   wc.laxity_max = 40.0;
   Xoshiro256ss rng(11);
-  const auto workload = tasks::generate_workload(wc, rng);
+  std::vector<tasks::Task> workload;
+  try {
+    workload = tasks::generate_workload(wc, rng);
+  } catch (const InvalidArgument& e) {
+    usage(e.what());
+  }
 
   const auto algorithm = sched::AlgorithmRegistry::builtin().make("rt_sads");
   const auto quantum = sched::make_self_adjusting_quantum(usec(200), msec(10));

@@ -8,22 +8,21 @@
 // --algo takes any registry spec (sched/registry.h), e.g. rt_sads, d_cols,
 // d_cols?max_successors=8, edf_ff, edf_bf, myopic?window=7, packing,
 // multicrit?sort=lpt&fit=next.
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
-#include "db/placement.h"
-#include "db/transaction.h"
+#include "common/rng.h"
 #include "exp/experiment.h"
 #include "exp/table.h"
-#include "machine/cluster.h"
 #include "machine/schedule_export.h"
-#include "sched/backend.h"
-#include "sched/pipeline.h"
 #include "sched/registry.h"
 #include "sched/trace.h"
-#include "sim/simulator.h"
 
 namespace {
 
@@ -61,6 +60,28 @@ bool match_flag(const std::string& arg, const std::string& key,
   return false;
 }
 
+/// The whole of `v` as a finite number (integers may be "0x" hex), or
+/// usage().
+template <typename T>
+T parse_number(const std::string& flag, std::string_view v) {
+  const std::string text(v);
+  T out{};
+  std::from_chars_result r{};
+  if constexpr (std::is_floating_point_v<T>) {
+    r = std::from_chars(v.data(), v.data() + v.size(), out);
+  } else if (v.starts_with("0x") || v.starts_with("0X")) {
+    v.remove_prefix(2);
+    r = std::from_chars(v.data(), v.data() + v.size(), out, 16);
+  } else {
+    r = std::from_chars(v.data(), v.data() + v.size(), out);
+  }
+  if (v.empty() || r.ec != std::errc{} || r.ptr != v.data() + v.size() ||
+      !std::isfinite(double(out))) {
+    usage("bad --" + flag + " value '" + text + "'");
+  }
+  return out;
+}
+
 std::unique_ptr<sched::PhaseAlgorithm> make_algorithm(
     const std::string& spec) {
   try {
@@ -84,29 +105,31 @@ int main(int argc, char** argv) {
     if (match_flag(arg, "algo", v)) {
       algo_spec = v;
     } else if (match_flag(arg, "workers", v)) {
-      cfg.num_workers = std::uint32_t(std::atoi(v.c_str()));
+      cfg.num_workers = parse_number<std::uint32_t>("workers", v);
     } else if (match_flag(arg, "replication", v)) {
-      cfg.replication_rate = std::atof(v.c_str());
+      cfg.replication_rate = parse_number<double>("replication", v);
     } else if (match_flag(arg, "sf", v)) {
-      cfg.scaling_factor = std::atof(v.c_str());
+      cfg.scaling_factor = parse_number<double>("sf", v);
     } else if (match_flag(arg, "txns", v)) {
-      cfg.num_transactions = std::uint32_t(std::atoi(v.c_str()));
+      cfg.num_transactions = parse_number<std::uint32_t>("txns", v);
     } else if (match_flag(arg, "reps", v)) {
-      cfg.repetitions = std::uint32_t(std::atoi(v.c_str()));
+      cfg.repetitions = parse_number<std::uint32_t>("reps", v);
     } else if (match_flag(arg, "seed", v)) {
-      cfg.base_seed = std::strtoull(v.c_str(), nullptr, 0);
+      cfg.base_seed = parse_number<std::uint64_t>("seed", v);
     } else if (match_flag(arg, "comm-ms", v)) {
-      cfg.comm_cost = msec(std::atoll(v.c_str()));
+      cfg.comm_cost = msec(parse_number<std::int64_t>("comm-ms", v));
     } else if (match_flag(arg, "vertex-us", v)) {
-      cfg.vertex_cost = usec(std::atoll(v.c_str()));
+      cfg.vertex_cost = usec(parse_number<std::int64_t>("vertex-us", v));
     } else if (match_flag(arg, "reclaim", v)) {
       cfg.reclaim_actual_costs = true;
     } else if (match_flag(arg, "quantum", v)) {
       if (v == "self") {
         cfg.quantum = exp::QuantumKind::kSelfAdjusting;
       } else if (v.rfind("fixed:", 0) == 0) {
+        std::string_view ms = std::string_view(v).substr(6);
+        if (ms.ends_with("ms")) ms.remove_suffix(2);
         cfg.quantum = exp::QuantumKind::kFixed;
-        cfg.fixed_quantum = msec(std::atoll(v.c_str() + 6));
+        cfg.fixed_quantum = msec(parse_number<std::int64_t>("quantum", ms));
       } else {
         usage("bad --quantum (want self or fixed:<N>ms)");
       }
@@ -125,8 +148,14 @@ int main(int argc, char** argv) {
 
   const auto algorithm = make_algorithm(algo_spec);
 
-  // Aggregate across repetitions.
-  const exp::Aggregate agg = exp::run_repeated(cfg, *algorithm);
+  // Aggregate across repetitions. The library validates the config as it
+  // builds the first run; a rejected value is a usage error, not a crash.
+  exp::Aggregate agg;
+  try {
+    agg = exp::run_repeated(cfg, *algorithm);
+  } catch (const InvalidArgument& e) {
+    usage(e.what());
+  }
   exp::TextTable table({"metric", "mean", "±99%ci", "min", "max"});
   const auto add = [&](const std::string& name, const RunningStats& s,
                        double scale = 1.0) {
@@ -158,31 +187,11 @@ int main(int argc, char** argv) {
 
   // Optional single-run artifacts (seed 0 of the protocol).
   if (!trace_path.empty() || !gantt_path.empty()) {
-    Xoshiro256ss rng(derive_seed(cfg.base_seed, 0));
-    const db::GlobalDatabase database(cfg.database, rng);
-    const db::Placement placement = db::Placement::rotation(
-        cfg.database.num_subdbs, cfg.num_workers, cfg.replication_rate);
-    db::TransactionWorkloadConfig txn_cfg;
-    txn_cfg.num_transactions = cfg.num_transactions;
-    txn_cfg.scaling_factor = cfg.scaling_factor;
-    txn_cfg.fill_actual_costs = cfg.reclaim_actual_costs;
-    const auto txns = db::generate_transactions(database, txn_cfg, rng);
-    const auto workload = db::to_tasks(txns, database, placement, txn_cfg);
-
-    machine::Cluster cluster(
-        cfg.num_workers,
-        machine::Interconnect::cut_through(cfg.num_workers, cfg.comm_cost),
-        cfg.reclaim_actual_costs ? machine::ReclaimMode::kReclaim
-                                 : machine::ReclaimMode::kWorstCase);
-    sim::Simulator sim;
-    sched::SimBackend backend(cluster, sim);
-    const auto quantum = cfg.make_quantum();
-    sched::PipelineConfig pipeline_cfg;
-    pipeline_cfg.vertex_generation_cost = cfg.vertex_cost;
-    pipeline_cfg.phase_overhead = cfg.phase_overhead;
+    machine::Cluster cluster = cfg.make_cluster();
     sched::PhaseTraceRecorder recorder;
-    const sched::PhasePipeline pipeline(*algorithm, *quantum, pipeline_cfg);
-    pipeline.run(workload, backend, &recorder);
+    exp::run_workload(cfg, *algorithm,
+                      exp::make_workload(cfg, derive_seed(cfg.base_seed, 0)),
+                      cluster, &recorder);
 
     if (!trace_path.empty()) {
       std::ofstream out(trace_path);

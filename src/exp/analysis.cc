@@ -35,16 +35,6 @@ LatenessSummary lateness_summary(
   return out;
 }
 
-Histogram margin_histogram(
-    const std::vector<machine::CompletionRecord>& log, double half_range_ms,
-    std::size_t buckets) {
-  Histogram h(-half_range_ms, half_range_ms, buckets);
-  for (const machine::CompletionRecord& rec : log) {
-    h.add((rec.deadline - rec.end).millis());
-  }
-  return h;
-}
-
 std::string ConservationReport::to_string() const {
   std::ostringstream os;
   os << "offered " << total << " = hits " << deadline_hits

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "common/histogram.h"
 #include "common/stats.h"
 #include "machine/cluster.h"
 #include "sched/ledger.h"
@@ -30,11 +29,6 @@ struct LatenessSummary {
 
 LatenessSummary lateness_summary(
     const std::vector<machine::CompletionRecord>& log);
-
-/// Histogram of deadline margins (ms) with symmetric bounds around zero.
-Histogram margin_histogram(
-    const std::vector<machine::CompletionRecord>& log, double half_range_ms,
-    std::size_t buckets = 20);
 
 /// Load-balance metrics over workers at the end of a run.
 struct BalanceSummary {

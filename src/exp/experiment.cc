@@ -21,9 +21,15 @@ std::unique_ptr<sched::QuantumPolicy> ExperimentConfig::make_quantum() const {
   return nullptr;
 }
 
-sched::RunMetrics run_once(const ExperimentConfig& config,
-                           const sched::PhaseAlgorithm& algorithm,
-                           std::uint64_t seed) {
+machine::Cluster ExperimentConfig::make_cluster() const {
+  return machine::Cluster(
+      num_workers, machine::Interconnect::cut_through(num_workers, comm_cost),
+      reclaim_actual_costs ? machine::ReclaimMode::kReclaim
+                           : machine::ReclaimMode::kWorstCase);
+}
+
+std::vector<tasks::Task> make_workload(const ExperimentConfig& config,
+                                       std::uint64_t seed) {
   Xoshiro256ss rng(seed);
 
   const db::GlobalDatabase database(config.database, rng);
@@ -47,7 +53,7 @@ sched::RunMetrics run_once(const ExperimentConfig& config,
   if (config.gang_fraction > 0.0) {
     RTDS_REQUIRE(config.gang_max_workers >= 2 &&
                      config.gang_max_workers <= config.num_workers,
-                 "run_once: gang_max_workers must be in [2, num_workers]");
+                 "make_workload: gang_max_workers must be in [2, num_workers]");
     for (tasks::Task& t : workload) {
       if (rng.bernoulli(config.gang_fraction)) {
         t.workers_required = static_cast<std::uint32_t>(
@@ -55,13 +61,14 @@ sched::RunMetrics run_once(const ExperimentConfig& config,
       }
     }
   }
+  return workload;
+}
 
-  machine::Cluster cluster(
-      config.num_workers,
-      machine::Interconnect::cut_through(config.num_workers,
-                                         config.comm_cost),
-      config.reclaim_actual_costs ? machine::ReclaimMode::kReclaim
-                                  : machine::ReclaimMode::kWorstCase);
+sched::RunMetrics run_workload(const ExperimentConfig& config,
+                               const sched::PhaseAlgorithm& algorithm,
+                               const std::vector<tasks::Task>& workload,
+                               machine::Cluster& cluster,
+                               sched::PhaseObserver* observer) {
   sim::Simulator simulator;
   const auto quantum = config.make_quantum();
   sched::PipelineConfig pipeline_cfg;
@@ -69,7 +76,14 @@ sched::RunMetrics run_once(const ExperimentConfig& config,
   pipeline_cfg.phase_overhead = config.phase_overhead;
   const sched::PhasePipeline pipeline(algorithm, *quantum, pipeline_cfg);
   sched::SimBackend backend(cluster, simulator);
-  return pipeline.run(workload, backend);
+  return pipeline.run(workload, backend, observer);
+}
+
+sched::RunMetrics run_once(const ExperimentConfig& config,
+                           const sched::PhaseAlgorithm& algorithm,
+                           std::uint64_t seed) {
+  machine::Cluster cluster = config.make_cluster();
+  return run_workload(config, algorithm, make_workload(config, seed), cluster);
 }
 
 Aggregate run_repeated(const ExperimentConfig& config,

@@ -14,6 +14,7 @@
 #include "common/time.h"
 #include "db/database.h"
 #include "db/transaction.h"
+#include "machine/cluster.h"
 #include "sched/algorithm.h"
 #include "sched/pipeline.h"
 #include "sched/quantum.h"
@@ -70,6 +71,9 @@ struct ExperimentConfig {
   std::uint32_t repetitions{10};
 
   [[nodiscard]] std::unique_ptr<sched::QuantumPolicy> make_quantum() const;
+  /// The idle machine of one run: cut-through at `comm_cost`, executing
+  /// worst-case or reclaimed costs as `reclaim_actual_costs` says.
+  [[nodiscard]] machine::Cluster make_cluster() const;
 };
 
 /// Aggregated outcome of the repeated runs of one (config, algorithm) cell.
@@ -88,7 +92,20 @@ struct Aggregate {
   RunningStats mean_quantum_ms;  ///< average allocated Q_s(j)
 };
 
-/// Runs one seed of one cell. The cluster/simulator are created fresh.
+/// Draws one seed's task stream: database, placement, transactions, tasks,
+/// then the gang widening. Every run of a cell builds its workload here.
+std::vector<tasks::Task> make_workload(const ExperimentConfig& config,
+                                       std::uint64_t seed);
+
+/// Schedules `workload` on `cluster` through a fresh simulator, with the
+/// config's quantum policy and scheduling-cost model.
+sched::RunMetrics run_workload(const ExperimentConfig& config,
+                               const sched::PhaseAlgorithm& algorithm,
+                               const std::vector<tasks::Task>& workload,
+                               machine::Cluster& cluster,
+                               sched::PhaseObserver* observer = nullptr);
+
+/// Runs one seed of one cell: make_workload() on a fresh make_cluster().
 sched::RunMetrics run_once(const ExperimentConfig& config,
                            const sched::PhaseAlgorithm& algorithm,
                            std::uint64_t seed);

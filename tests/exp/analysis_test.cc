@@ -42,17 +42,6 @@ TEST(LatenessSummaryTest, SplitsHitsAndMisses) {
   EXPECT_NE(s.to_string().find("hits 2"), std::string::npos);
 }
 
-TEST(MarginHistogramTest, CentersOnZero) {
-  std::vector<machine::CompletionRecord> log{
-      rec(SimTime{1000}, SimTime{5000}),   // margin +4ms
-      rec(SimTime{9000}, SimTime{5000}),   // margin -4ms
-  };
-  const Histogram h = margin_histogram(log, 10.0, 10);
-  EXPECT_EQ(h.count(), 2u);
-  EXPECT_EQ(h.underflow(), 0u);
-  EXPECT_EQ(h.overflow(), 0u);
-}
-
 TEST(BalanceSummaryTest, PerfectBalance) {
   machine::Cluster cl(2, machine::Interconnect::cut_through(2, msec(0)));
   tasks::Task t;

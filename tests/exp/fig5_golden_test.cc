@@ -13,7 +13,7 @@
 // result by more than its own confidence interval fails loudly.
 //
 // If a deliberate algorithm change moves these numbers, re-run
-// bench_fig5_scalability, verify the SHAPE (RT-SADS rises with m, D-COLS
+// bench_paper (its FIG5 table), verify the SHAPE (RT-SADS rises with m, D-COLS
 // stays flat, gap significant at 0.01) and re-pin.
 #include <gtest/gtest.h>
 
