@@ -276,7 +276,8 @@ void abl_h() {
 void abl_base() {
   print_header("ABL-BASE — search schedulers vs greedy baselines",
                "extension of the Sec. 5 evaluation (R=30%, SF=1)",
-               "RT-SADS >= EDF-best-fit >= myopic >= EDF-first-fit > D-COLS");
+               "from m=4, EDF-first-fit >= EDF-best-fit >= RT-SADS > myopic"
+               " > D-COLS; D-COLS lowest at every m");
   std::vector<std::unique_ptr<sched::PhaseAlgorithm>> algos;
   for (const char* spec :
        {"rt_sads", "d_cols", "edf_bf", "edf_ff", "myopic"}) {

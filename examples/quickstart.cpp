@@ -42,7 +42,7 @@ int main() {
   const auto quantum = sched::make_self_adjusting_quantum(
       /*min_quantum=*/usec(100), /*max_quantum=*/msec(50));
 
-  // 4. Run the pipeline on the discrete-event simulator.
+  // 4. Run the pipeline on the simulated machine and clock.
   sim::Simulator simulator;
   sched::SimBackend backend(cluster, simulator);
   const sched::PhasePipeline pipeline(*algorithm, *quantum);

@@ -61,6 +61,11 @@ Task to_task(const Transaction& txn, const GlobalDatabase& database,
   t.processing = database.estimate_cost(txn);
   const double window = config.scaling_factor * config.deadline_multiplier *
                         double(t.processing.us);
+  // 0x1p63 is the first double past INT64_MAX, so anything below it rounds
+  // into range; a larger or non-finite window would overflow llround.
+  RTDS_REQUIRE(std::isfinite(window) && window < 0x1p63,
+               "to_task: deadline window SF x multiplier x p does not fit "
+               "in int64 microseconds");
   t.deadline = t.arrival + SimDuration{std::int64_t(std::llround(window))};
   t.affinity = placement.holders(txn.subdb);
   RTDS_ASSERT_MSG(!t.affinity.empty(), "sub-database with no holder");

@@ -57,7 +57,7 @@ struct PartitionedMetrics {
 };
 
 /// Routes `workload` across shards and runs the shared PhasePipeline once
-/// per shard against a PartitionedBackend host (sched/backend.h). Workers
+/// per shard, each on its own Cluster and DES clock (a SimBackend). Workers
 /// [s * (total/H), (s+1) * (total/H)) belong to shard s; requires
 /// total_workers % num_shards == 0. The algorithm and quantum policy are
 /// shared (they are stateless between phases). An optional observer sees

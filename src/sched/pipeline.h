@@ -16,7 +16,7 @@
 // generated vertex costs `vertex_generation_cost`, and the predictive
 // feasibility test inside the search already accounted for the full
 // quantum, so delivering early can only improve timeliness (correction
-// theorem). On the DES backends the charge advances the simulated clock;
+// theorem). On the DES backend the charge advances the simulated clock;
 // on the threaded backend the wall clock paid for the search as it ran.
 //
 // Batch maintenance, quantum computation, vertex budgeting, feasibility

@@ -1,65 +1,12 @@
 #include "sim/simulator.h"
 
+#include "common/error.h"
+
 namespace rtds::sim {
 
-EventHandle Simulator::schedule_at(SimTime t, Handler handler) {
-  RTDS_REQUIRE(t >= now_, "schedule_at: cannot schedule in the past");
-  RTDS_REQUIRE(static_cast<bool>(handler), "schedule_at: empty handler");
-  auto record = std::make_shared<EventHandle::Record>();
-  queue_.push(QueuedEvent{t, next_seq_++, std::move(handler), record});
-  return EventHandle{std::move(record)};
-}
-
-EventHandle Simulator::schedule_after(SimDuration delay, Handler handler) {
-  RTDS_REQUIRE(!delay.is_negative(), "schedule_after: negative delay");
-  return schedule_at(now_ + delay, std::move(handler));
-}
-
-void Simulator::drop_cancelled() {
-  while (!queue_.empty() && queue_.top().record->done) {
-    queue_.pop();
-  }
-}
-
-void Simulator::fire_head() {
-  // Move the event out before firing: the handler may schedule new events,
-  // which mutates the queue.
-  QueuedEvent ev = queue_.top();
-  queue_.pop();
-  RTDS_ASSERT(ev.time >= now_);
-  now_ = ev.time;
-  ev.record->done = true;
-  ++executed_;
-  ev.handler();
-}
-
-bool Simulator::idle() {
-  drop_cancelled();
-  return queue_.empty();
-}
-
-std::uint64_t Simulator::run(std::uint64_t max_events) {
-  std::uint64_t fired = 0;
-  while (fired < max_events) {
-    drop_cancelled();
-    if (queue_.empty()) break;
-    fire_head();
-    ++fired;
-  }
-  return fired;
-}
-
-std::uint64_t Simulator::run_until(SimTime until, std::uint64_t max_events) {
-  RTDS_REQUIRE(until >= now_, "run_until: target time in the past");
-  std::uint64_t fired = 0;
-  while (fired < max_events) {
-    drop_cancelled();
-    if (queue_.empty() || until < queue_.top().time) break;
-    fire_head();
-    ++fired;
-  }
-  if (now_ < until) now_ = until;
-  return fired;
+void Simulator::advance_to(SimTime t) {
+  RTDS_REQUIRE(t >= now_, "advance_to: target time in the past");
+  now_ = t;
 }
 
 }  // namespace rtds::sim

@@ -1,113 +1,32 @@
-// Deterministic discrete-event simulation engine.
+// The simulated clock of the DES backend.
 //
-// This is the substrate that stands in for the paper's Intel Paragon: the
-// machine model (src/machine) and the schedulers (src/sched) run as event
-// handlers on this clock. Determinism guarantees:
-//   * time never goes backwards;
-//   * events at equal timestamps fire in scheduling (FIFO) order;
-//   * a cancelled event never fires.
+// This is the substrate that stands in for the paper's Intel Paragon. The
+// machine model is analytical: machine::Cluster computes every start and
+// end time when a schedule is delivered (FIFO ready queues of
+// non-preemptable tasks, constant communication cost), so no event ever
+// needs to fire. This clock orders deliveries against arrivals: the host's
+// scheduling time and the waits for the next arrival move it forward, and
+// it never goes backwards.
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <memory>
-#include <queue>
-#include <vector>
-
-#include "common/error.h"
 #include "common/time.h"
 
 namespace rtds::sim {
 
-/// Handle to a scheduled event; allows cancellation. Cheap to copy.
-/// A default-constructed handle refers to no event.
-class EventHandle {
- public:
-  EventHandle() = default;
-
-  /// True if the event is still pending (not fired, not cancelled).
-  [[nodiscard]] bool pending() const { return record_ && !record_->done; }
-
-  /// Cancels the event if it is still pending. Idempotent.
-  void cancel() {
-    if (record_) record_->done = true;
-  }
-
- private:
-  friend class Simulator;
-  struct Record {
-    bool done{false};
-  };
-  explicit EventHandle(std::shared_ptr<Record> r) : record_(std::move(r)) {}
-  std::shared_ptr<Record> record_;
-};
-
-/// The simulator: a clock plus a time-ordered event queue.
-///
-/// Handlers are plain callables; they may schedule further events (including
-/// at the current time, which fire after all previously scheduled
-/// current-time events — FIFO tie-break by sequence number).
 class Simulator {
  public:
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  using Handler = std::function<void()>;
-
   /// Current simulated time.
   [[nodiscard]] SimTime now() const { return now_; }
 
-  /// Number of events executed so far.
-  [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
-
-  /// Number of events still pending (cancelled events may be counted until
-  /// they surface at the queue head).
-  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
-
-  /// Schedules `handler` at absolute time `t`. Requires t >= now().
-  EventHandle schedule_at(SimTime t, Handler handler);
-
-  /// Schedules `handler` `delay` after the current time. Requires delay >= 0.
-  EventHandle schedule_after(SimDuration delay, Handler handler);
-
-  /// Runs events until the queue is empty or `max_events` have fired.
-  /// Returns the number of events fired by this call.
-  std::uint64_t run(std::uint64_t max_events = kDefaultMaxEvents);
-
-  /// Runs events with time <= `until`. The clock is advanced to `until` at
-  /// the end even if no event lands exactly there. Returns events fired.
-  std::uint64_t run_until(SimTime until,
-                          std::uint64_t max_events = kDefaultMaxEvents);
-
-  /// True when no live events remain.
-  [[nodiscard]] bool idle();
-
-  static constexpr std::uint64_t kDefaultMaxEvents = 500'000'000;
+  /// Moves the clock to `t`. Throws InvalidArgument if t < now().
+  void advance_to(SimTime t);
 
  private:
-  struct QueuedEvent {
-    SimTime time;
-    std::uint64_t seq;
-    Handler handler;
-    std::shared_ptr<EventHandle::Record> record;
-  };
-  struct Later {
-    bool operator()(const QueuedEvent& a, const QueuedEvent& b) const {
-      if (a.time != b.time) return b.time < a.time;
-      return b.seq < a.seq;  // FIFO among equal timestamps
-    }
-  };
-
-  /// Pops cancelled events off the queue head.
-  void drop_cancelled();
-  /// Fires the head event. Requires a live head.
-  void fire_head();
-
   SimTime now_{SimTime::zero()};
-  std::uint64_t next_seq_{0};
-  std::uint64_t executed_{0};
-  std::priority_queue<QueuedEvent, std::vector<QueuedEvent>, Later> queue_;
 };
 
 }  // namespace rtds::sim

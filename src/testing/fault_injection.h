@@ -9,9 +9,9 @@
 // replayable bit-for-bit from a scenario token (a real threaded overflow
 // depends on wall-clock races and is not).
 //
-// The decorator forwards everything else untouched, so wrapping a
-// SimBackend and a PartitionedBackend host with the same period keeps them
-// in exact metric parity: both see the identical refusal sequence.
+// The decorator forwards everything else untouched, so wrapping two
+// SimBackends with the same period keeps them in exact metric parity: both
+// see the identical refusal sequence.
 #pragma once
 
 #include <cstdint>

@@ -143,7 +143,7 @@ std::string ScenarioResult::to_string() const {
   std::ostringstream os;
   os << "token " << token << "\n" << scenario.to_string() << "\n";
   summarize(os, sim);
-  summarize(os, partitioned);
+  summarize(os, rerun);
   if (threaded_ran) summarize(os, threaded);
   for (const BackendRun& run : shard_runs) summarize(os, run);
   if (violations.empty()) {
@@ -211,33 +211,37 @@ ScenarioResult run_scenario(const Scenario& scenario,
     oracle_stream_accounting(result.sim, result.violations);
   }
 
-  // -- partitioned, single host: must be the same machine --------------------
-  // Wrapped in an identical fault injector, so both runs see the exact same
-  // refusal sequence and stay in field-for-field parity even under
-  // readmission / rejection / backpressure churn.
-  sched::PartitionedBackend part(1, scenario.workers, comm, reclaim);
-  FaultInjectingBackend part_backend(part.host(0), scenario.refusal_period);
-  result.partitioned.name = "partitioned";
-  const bool part_ok = run_pipeline(scenario, *algorithm, *quantum,
-                                    des_config, workload, part_backend,
-                                    result.partitioned, result.violations);
-  if (part_ok) {
-    oracle_correction_theorem(result.partitioned, result.violations);
-    oracle_conservation(result.partitioned, result.violations);
-    oracle_quantum_bound(scenario, result.partitioned, result.violations);
-    oracle_schedule_validity("partitioned", part.cluster(0), workload,
+  // -- rerun: the same scenario on a fresh machine and clock ----------------
+  // Must match the sim run field-for-field; a difference is state that
+  // leaked from one run into the next. Wrapped in an identical fault
+  // injector, so both runs see the exact same refusal sequence and stay in
+  // parity even under readmission / rejection / backpressure churn.
+  machine::Cluster rerun_cluster(
+      scenario.workers,
+      machine::Interconnect::cut_through(scenario.workers, comm), reclaim);
+  sim::Simulator rerun_clock;
+  sched::SimBackend rerun_inner(rerun_cluster, rerun_clock);
+  FaultInjectingBackend rerun_backend(rerun_inner, scenario.refusal_period);
+  result.rerun.name = "rerun";
+  const bool rerun_ok = run_pipeline(scenario, *algorithm, *quantum,
+                                     des_config, workload, rerun_backend,
+                                     result.rerun, result.violations);
+  if (rerun_ok) {
+    oracle_correction_theorem(result.rerun, result.violations);
+    oracle_conservation(result.rerun, result.violations);
+    oracle_quantum_bound(scenario, result.rerun, result.violations);
+    oracle_schedule_validity("rerun", rerun_cluster, workload,
                              result.violations);
-    oracle_gang_occupancy("partitioned", part.cluster(0), oracle_workload,
+    oracle_gang_occupancy("rerun", rerun_cluster, oracle_workload,
                           result.violations);
-    oracle_stream_accounting(result.partitioned, result.violations);
+    oracle_stream_accounting(result.rerun, result.violations);
     if (sim_ok) {
-      oracle_metric_parity(result.sim, result.partitioned,
-                           result.violations);
+      oracle_metric_parity(result.sim, result.rerun, result.violations);
     }
   }
 
   // -- multi-shard audit (scenario.num_shards > 1) ---------------------------
-  // run_partitioned owns its hosts, so refusal injection cannot be threaded
+  // run_partitioned owns its shards, so refusal injection cannot be threaded
   // through; the sharded run audits routing + per-shard guarantees instead.
   if (scenario.num_shards > 1 && !open) {
     sched::PartitionedConfig pcfg;

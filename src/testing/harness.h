@@ -6,8 +6,9 @@
 //
 //   sim          SimBackend (DES) — ledger + phase trace + execution-log
 //                validation; fault injection via FaultInjectingBackend
-//   partitioned  PartitionedBackend single host — must match the sim run
-//                field-for-field (metric-parity oracle); the same injected
+//   rerun        SimBackend on a fresh machine and clock — must match the
+//                sim run field-for-field (metric-parity oracle), which
+//                catches state leaking across runs; the same injected
 //                refusal sequence is applied so overload paths stay in
 //                lockstep. When the scenario shards > 1, an additional
 //                multi-shard run_partitioned() audits per-shard theorem +
@@ -74,7 +75,7 @@ struct ScenarioResult {
   std::vector<std::string> violations;
 
   BackendRun sim;
-  BackendRun partitioned;
+  BackendRun rerun;
   BackendRun threaded;
   std::vector<BackendRun> shard_runs;  ///< multi-shard audit (shards > 1)
   bool threaded_ran{false};

@@ -18,7 +18,8 @@
 //                       unless the progress floor bound it — and the
 //                       quantum_floor_overrides counter matches exactly
 //   metric-parity       field-for-field RunMetrics equality between two
-//                       deterministic backends driving the same workload
+//                       deterministic runs of the same workload, each on
+//                       a fresh machine (catches state leaking across runs)
 //   threaded-parity     scheduled/culled/hit agreement between the DES and
 //                       the threaded backend on parity-class scenarios
 //   stream-accounting   streaming runs: one schedule-latency sample per
@@ -42,7 +43,7 @@ namespace rtds::testing {
 
 /// Everything one backend run exposes to the oracles.
 struct BackendRun {
-  std::string name;  ///< "sim", "partitioned", "shard[2]", "threaded"
+  std::string name;  ///< "sim", "rerun", "shard[2]", "threaded"
   sched::RunMetrics metrics;
   sched::LedgerCounts ledger;
   std::vector<sched::PhaseRecord> phases;
@@ -85,7 +86,7 @@ void oracle_schedule_validity(const std::string& name,
 void oracle_quantum_bound(const Scenario& scenario, const BackendRun& run,
                           std::vector<std::string>& out);
 
-/// Field-for-field RunMetrics equality (deterministic backends only).
+/// Field-for-field RunMetrics equality (deterministic runs only).
 void oracle_metric_parity(const BackendRun& a, const BackendRun& b,
                           std::vector<std::string>& out);
 

@@ -103,6 +103,23 @@ TEST(ToTaskTest, ValidatesConfig) {
   EXPECT_THROW(to_task(txns[0], db, placement, cfg, 0), InvalidArgument);
 }
 
+TEST(ToTaskTest, RejectsDeadlineWindowPastInt64) {
+  Xoshiro256ss rng(6);
+  const GlobalDatabase db(paper_config(), rng);
+  const Placement placement = Placement::rotation(10, 4, 0.5);
+  TransactionWorkloadConfig cfg;
+  const auto txns = generate_transactions(db, cfg, rng);
+  cfg.scaling_factor = 1e300;  // window overflows int64 microseconds
+  EXPECT_THROW(to_task(txns[0], db, placement, cfg, 0), InvalidArgument);
+  cfg.scaling_factor = 1e308;
+  cfg.deadline_multiplier = 1e308;  // window is +inf
+  EXPECT_THROW(to_task(txns[0], db, placement, cfg, 0), InvalidArgument);
+  cfg.scaling_factor = 1e6;  // a wide but representable window still works
+  cfg.deadline_multiplier = 10.0;
+  const tasks::Task t = to_task(txns[0], db, placement, cfg, 0);
+  EXPECT_EQ((t.deadline - t.arrival).us, 10'000'000 * t.processing.us);
+}
+
 TEST(ToTasksTest, SequentialIdsAndSizes) {
   Xoshiro256ss rng(7);
   const GlobalDatabase db(paper_config(), rng);

@@ -6,10 +6,11 @@
 //     << 1) must yield identical scheduled/culled counts: the phase
 //     decisions depend only on the batch and the (initially idle) loads,
 //     which both backends present identically.
-//   * PartitionedBackend with K=1 — exactly one host owning all workers is
-//     the same machine as a plain SimBackend, so the full RunMetrics must
-//     match field for field (also asserted in sched/partitioned_test.cc on
-//     a generated workload; here on the shared parity workload).
+//   * run_partitioned with K=1 — exactly one shard owning all workers is
+//     the same machine as a plain SimBackend, so the full RunMetrics and
+//     every phase record must match field for field (also asserted in
+//     sched/partitioned_test.cc on a generated workload; here on the shared
+//     parity workload).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -17,9 +18,11 @@
 #include "machine/cluster.h"
 #include "runtime/threaded_backend.h"
 #include "sched/backend.h"
+#include "sched/partitioned.h"
 #include "sched/pipeline.h"
 #include "sched/quantum.h"
 #include "sched/registry.h"
+#include "sched/trace.h"
 #include "sim/simulator.h"
 #include "tasks/task.h"
 
@@ -100,11 +103,18 @@ TEST(BackendParityTest, PartitionedSingleHostMatchesSimBackendExactly) {
       kWorkers, machine::Interconnect::cut_through(kWorkers, msec(1)));
   sim::Simulator sim;
   sched::SimBackend sim_backend(cluster, sim);
-  const RunMetrics sim_m = pipeline.run(wl, sim_backend);
+  sched::PhaseTraceRecorder sim_trace;
+  const RunMetrics sim_m = pipeline.run(wl, sim_backend, &sim_trace);
 
-  sched::PartitionedBackend part(1, kWorkers, msec(1),
-                                 machine::ReclaimMode::kWorstCase);
-  const RunMetrics part_m = pipeline.run(wl, part.host(0));
+  sched::PartitionedConfig cfg;
+  cfg.num_shards = 1;
+  cfg.total_workers = kWorkers;
+  cfg.comm_cost = msec(1);
+  sched::PhaseTraceRecorder part_trace;
+  const sched::PartitionedMetrics pm =
+      sched::run_partitioned(*algo, *q, cfg, wl, &part_trace);
+  ASSERT_EQ(pm.shards.size(), 1u);
+  const RunMetrics& part_m = pm.shards[0];
 
   EXPECT_EQ(part_m.total_tasks, sim_m.total_tasks);
   EXPECT_EQ(part_m.scheduled, sim_m.scheduled);
@@ -128,15 +138,18 @@ TEST(BackendParityTest, PartitionedSingleHostMatchesSimBackendExactly) {
   EXPECT_EQ(part_m.allocated_quantum, sim_m.allocated_quantum);
   EXPECT_EQ(part_m.min_quantum_seen, sim_m.min_quantum_seen);
   EXPECT_EQ(part_m.max_quantum_seen, sim_m.max_quantum_seen);
-  // Same completion log on the underlying clusters, record for record.
-  const auto& a = cluster.log();
-  const auto& b = part.cluster(0).log();
+  // Same phases on the two clocks, record for record.
+  const auto& a = sim_trace.records();
+  const auto& b = part_trace.records();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].task, b[i].task);
-    EXPECT_EQ(a[i].worker, b[i].worker);
     EXPECT_EQ(a[i].start, b[i].start);
     EXPECT_EQ(a[i].end, b[i].end);
+    EXPECT_EQ(a[i].batch_size, b[i].batch_size);
+    EXPECT_EQ(a[i].min_load, b[i].min_load);
+    EXPECT_EQ(a[i].quantum, b[i].quantum);
+    EXPECT_EQ(a[i].scheduled, b[i].scheduled);
+    EXPECT_EQ(a[i].delivered, b[i].delivered);
   }
 }
 

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "exp/analysis.h"
 #include "machine/cluster.h"
 #include "runtime/threaded_backend.h"
 #include "sched/backend.h"
@@ -42,14 +41,19 @@ void expect_conserved(const RunMetrics& m, const TaskLedger& ledger,
   EXPECT_EQ(m.total_tasks, workload_size);
   EXPECT_EQ(m.deadline_hits + m.exec_misses + m.culled + m.rejected,
             m.total_tasks);
-  EXPECT_TRUE(ledger.counts().conserved());
+  const sched::LedgerCounts& c = ledger.counts();
+  EXPECT_TRUE(c.conserved());
+  EXPECT_EQ(c.in_flight, 0u);
+  EXPECT_EQ(c.total, m.total_tasks);
+  EXPECT_EQ(c.deadline_hits, m.deadline_hits);
+  EXPECT_EQ(c.exec_misses, m.exec_misses);
+  EXPECT_EQ(c.culled, m.culled);
+  EXPECT_EQ(c.rejected, m.rejected);
   EXPECT_EQ(ledger.size(), workload_size);
   for (const auto& [id, state] : ledger.states()) {
     EXPECT_TRUE(terminal(state))
         << "task " << id << " left in state " << sched::to_string(state);
   }
-  const exp::ConservationReport report = exp::conservation_report(ledger);
-  EXPECT_TRUE(report.conserved()) << report.to_string();
 }
 
 std::vector<tasks::Task> random_workload(std::uint64_t seed,

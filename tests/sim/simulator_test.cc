@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "common/error.h"
 
 namespace rtds::sim {
@@ -12,152 +10,21 @@ namespace {
 TEST(SimulatorTest, StartsAtZeroAndIdle) {
   Simulator sim;
   EXPECT_EQ(sim.now(), SimTime::zero());
-  EXPECT_TRUE(sim.idle());
-  EXPECT_EQ(sim.run(), 0u);
-}
-
-TEST(SimulatorTest, FiresEventsInTimeOrder) {
-  Simulator sim;
-  std::vector<int> fired;
-  sim.schedule_at(SimTime{30}, [&] { fired.push_back(3); });
-  sim.schedule_at(SimTime{10}, [&] { fired.push_back(1); });
-  sim.schedule_at(SimTime{20}, [&] { fired.push_back(2); });
-  EXPECT_EQ(sim.run(), 3u);
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(sim.now(), SimTime{30});
-}
-
-TEST(SimulatorTest, EqualTimestampsFireFifo) {
-  Simulator sim;
-  std::vector<int> fired;
-  for (int i = 0; i < 10; ++i) {
-    sim.schedule_at(SimTime{5}, [&fired, i] { fired.push_back(i); });
-  }
-  sim.run();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[std::size_t(i)], i);
-}
-
-TEST(SimulatorTest, ScheduleAfterUsesCurrentTime) {
-  Simulator sim;
-  SimTime observed = SimTime::zero();
-  sim.schedule_at(SimTime{100}, [&] {
-    sim.schedule_after(usec(50), [&] { observed = sim.now(); });
-  });
-  sim.run();
-  EXPECT_EQ(observed, SimTime{150});
-}
-
-TEST(SimulatorTest, HandlerCanScheduleAtCurrentTime) {
-  Simulator sim;
-  std::vector<int> fired;
-  sim.schedule_at(SimTime{5}, [&] {
-    fired.push_back(1);
-    sim.schedule_at(sim.now(), [&] { fired.push_back(2); });
-  });
-  sim.schedule_at(SimTime{5}, [&] { fired.push_back(3); });
-  sim.run();
-  // The nested same-time event fires after already-queued time-5 events.
-  EXPECT_EQ(fired, (std::vector<int>{1, 3, 2}));
 }
 
 TEST(SimulatorTest, RejectsPastScheduling) {
   Simulator sim;
-  sim.schedule_at(SimTime{10}, [] {});
-  sim.run();
-  EXPECT_THROW(sim.schedule_at(SimTime{5}, [] {}), InvalidArgument);
-  EXPECT_THROW(sim.schedule_after(usec(-1), [] {}), InvalidArgument);
-  EXPECT_THROW(sim.schedule_at(SimTime{20}, Simulator::Handler{}),
-               InvalidArgument);
-}
-
-TEST(SimulatorTest, CancelPreventsFiring) {
-  Simulator sim;
-  bool fired = false;
-  EventHandle h = sim.schedule_at(SimTime{10}, [&] { fired = true; });
-  EXPECT_TRUE(h.pending());
-  h.cancel();
-  EXPECT_FALSE(h.pending());
-  sim.run();
-  EXPECT_FALSE(fired);
-}
-
-TEST(SimulatorTest, CancelIsIdempotentAndPostFireSafe) {
-  Simulator sim;
-  int count = 0;
-  EventHandle h = sim.schedule_at(SimTime{10}, [&] { ++count; });
-  sim.run();
-  EXPECT_EQ(count, 1);
-  EXPECT_FALSE(h.pending());
-  h.cancel();  // no-op after firing
-  h.cancel();
-  EXPECT_EQ(count, 1);
-}
-
-TEST(SimulatorTest, DefaultHandleIsInert) {
-  EventHandle h;
-  EXPECT_FALSE(h.pending());
-  h.cancel();  // must not crash
-}
-
-TEST(SimulatorTest, RunUntilStopsAtBoundaryInclusive) {
-  Simulator sim;
-  std::vector<int> fired;
-  sim.schedule_at(SimTime{10}, [&] { fired.push_back(1); });
-  sim.schedule_at(SimTime{20}, [&] { fired.push_back(2); });
-  sim.schedule_at(SimTime{30}, [&] { fired.push_back(3); });
-  EXPECT_EQ(sim.run_until(SimTime{20}), 2u);
-  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
-  EXPECT_EQ(sim.now(), SimTime{20});
-  EXPECT_FALSE(sim.idle());
-  sim.run();
-  EXPECT_EQ(fired.size(), 3u);
+  sim.advance_to(SimTime{10});
+  EXPECT_THROW(sim.advance_to(SimTime{9}), InvalidArgument);
+  EXPECT_THROW(sim.advance_to(SimTime{-1}), InvalidArgument);
+  EXPECT_EQ(sim.now(), SimTime{10});  // a rejected target leaves the clock
 }
 
 TEST(SimulatorTest, RunUntilAdvancesClockWithoutEvents) {
   Simulator sim;
-  EXPECT_EQ(sim.run_until(SimTime{500}), 0u);
+  sim.advance_to(SimTime{500});
   EXPECT_EQ(sim.now(), SimTime{500});
-  EXPECT_THROW(sim.run_until(SimTime{400}), InvalidArgument);
-}
-
-TEST(SimulatorTest, MaxEventsBudgetStopsRun) {
-  Simulator sim;
-  int fired = 0;
-  for (int i = 0; i < 10; ++i) {
-    sim.schedule_at(SimTime{i}, [&] { ++fired; });
-  }
-  EXPECT_EQ(sim.run(/*max_events=*/4), 4u);
-  EXPECT_EQ(fired, 4);
-  EXPECT_EQ(sim.run(), 6u);
-}
-
-TEST(SimulatorTest, CountsExecutedEvents) {
-  Simulator sim;
-  for (int i = 0; i < 5; ++i) sim.schedule_at(SimTime{i}, [] {});
-  sim.run();
-  EXPECT_EQ(sim.events_executed(), 5u);
-}
-
-TEST(SimulatorTest, SelfReschedulingChain) {
-  Simulator sim;
-  int hops = 0;
-  std::function<void()> hop = [&] {
-    if (++hops < 100) sim.schedule_after(usec(10), hop);
-  };
-  sim.schedule_at(SimTime::zero(), hop);
-  sim.run();
-  EXPECT_EQ(hops, 100);
-  EXPECT_EQ(sim.now(), SimTime{990});
-}
-
-TEST(SimulatorTest, CancelledEventsDropFromPendingCount) {
-  Simulator sim;
-  EventHandle h1 = sim.schedule_at(SimTime{1}, [] {});
-  sim.schedule_at(SimTime{2}, [] {});
-  h1.cancel();
-  EXPECT_FALSE(sim.idle());  // one live event remains
-  EXPECT_EQ(sim.run(), 1u);
-  EXPECT_TRUE(sim.idle());
+  EXPECT_THROW(sim.advance_to(SimTime{400}), InvalidArgument);
 }
 
 }  // namespace

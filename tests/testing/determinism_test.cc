@@ -28,7 +28,7 @@ TEST(DeterminismTest, SameScenarioSameMetricsOnDesBackends) {
     EXPECT_EQ(r1.token, r2.token);
     std::vector<std::string> diffs;
     oracle_metric_parity(r1.sim, r2.sim, diffs);
-    oracle_metric_parity(r1.partitioned, r2.partitioned, diffs);
+    oracle_metric_parity(r1.rerun, r2.rerun, diffs);
     EXPECT_TRUE(diffs.empty()) << "scenario " << index << " drifted:\n  "
                                << diffs.front();
     EXPECT_EQ(r1.violations, r2.violations);
@@ -52,7 +52,7 @@ TEST(DeterminismTest, OpenScenarioReplaysIdenticallyOnDesBackends) {
     ASSERT_TRUE(r1.sim.has_latency);
     std::vector<std::string> diffs;
     oracle_metric_parity(r1.sim, r2.sim, diffs);
-    oracle_metric_parity(r1.partitioned, r2.partitioned, diffs);
+    oracle_metric_parity(r1.rerun, r2.rerun, diffs);
     EXPECT_TRUE(diffs.empty()) << "open kind " << kind << " drifted:\n  "
                                << diffs.front();
     EXPECT_EQ(r1.violations, r2.violations);

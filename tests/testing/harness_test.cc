@@ -44,7 +44,7 @@ TEST(HarnessTest, FaultInjectionExercisesReadmissionAndStaysConserved) {
   const ScenarioResult r = run_scenario(s, des_only());
   EXPECT_TRUE(r.ok()) << r.to_string();
   // The injected refusals must actually drive the overload machinery —
-  // and sim/partitioned stay in exact parity through it (checked by ok()).
+  // and sim/rerun stay in exact parity through it (checked by ok()).
   EXPECT_GT(r.sim.metrics.overflow_drops, 0u);
   EXPECT_GT(r.sim.metrics.readmissions + r.sim.metrics.rejected, 0u);
 }

@@ -35,7 +35,7 @@ TEST(PeriodicReleaseTest, ClosedReleaseTrainReplaysIdenticallyOnDes) {
   EXPECT_EQ(r1.sim.metrics.total_tasks, 90u);
   std::vector<std::string> diffs;
   oracle_metric_parity(r1.sim, r2.sim, diffs);
-  oracle_metric_parity(r1.partitioned, r2.partitioned, diffs);
+  oracle_metric_parity(r1.rerun, r2.rerun, diffs);
   EXPECT_TRUE(diffs.empty()) << diffs.front();
   EXPECT_EQ(r1.violations, r2.violations);
 }
@@ -58,7 +58,7 @@ TEST(PeriodicReleaseTest, OpenPeriodicReplaysIdenticallyOnDes) {
   ASSERT_TRUE(r1.sim.has_latency);
   std::vector<std::string> diffs;
   oracle_metric_parity(r1.sim, r2.sim, diffs);
-  oracle_metric_parity(r1.partitioned, r2.partitioned, diffs);
+  oracle_metric_parity(r1.rerun, r2.rerun, diffs);
   EXPECT_TRUE(diffs.empty()) << diffs.front();
   EXPECT_EQ(r1.violations, r2.violations);
   ASSERT_EQ(r1.sim.phases.size(), r2.sim.phases.size());

@@ -3,7 +3,7 @@
 // fuzz_smoke already sweeps the mixed portfolio; these tests pin the
 // algorithm so every greedy baseline and both partitioned entrants each get
 // a dedicated pass through the full oracle registry (correction theorem,
-// conservation ledger, schedule validity, quantum bound, sim/partitioned
+// conservation ledger, schedule validity, quantum bound, sim/rerun
 // metric parity). The threaded backend is left off: its wall-clock runs are
 // algorithm-independent plumbing and fuzz_smoke covers them.
 #include <gtest/gtest.h>
