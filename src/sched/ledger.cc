@@ -1,6 +1,9 @@
 #include "sched/ledger.h"
 
+#include <algorithm>
+#include <bit>
 #include <sstream>
+#include <utility>
 
 #include "common/error.h"
 
@@ -22,8 +25,11 @@ const char* to_string(TaskState state) {
 }
 
 void TaskLedger::arrive(tasks::TaskId id) {
-  const bool inserted = states_.emplace(id, TaskState::kArrived).second;
-  RTDS_CHECK_MSG(inserted, "TaskLedger: task arrived twice");
+  if (2 * (size_ + 1) > slots_.size()) grow();
+  Slot& slot = slots_[slot_of(id)];
+  RTDS_CHECK_MSG(!slot.used, "TaskLedger: task arrived twice");
+  slot = Slot{id, TaskState::kArrived, true};
+  ++size_;
   ++counts_.total;
   ++counts_.in_flight;
 }
@@ -77,13 +83,13 @@ void TaskLedger::execute(tasks::TaskId id, bool hit) {
 }
 
 bool TaskLedger::known(tasks::TaskId id) const {
-  return states_.count(id) > 0;
+  return find(id) != kAbsent;
 }
 
 TaskState TaskLedger::state(tasks::TaskId id) const {
-  const auto it = states_.find(id);
-  RTDS_CHECK_MSG(it != states_.end(), "TaskLedger: unknown task id");
-  return it->second;
+  const std::size_t i = find(id);
+  RTDS_CHECK_MSG(i != kAbsent, "TaskLedger: unknown task id");
+  return slots_[i].state;
 }
 
 void TaskLedger::check_conserved() const {
@@ -99,20 +105,50 @@ void TaskLedger::check_conserved() const {
 }
 
 void TaskLedger::clear() {
-  states_.clear();
+  std::fill(slots_.begin(), slots_.end(), Slot{});
+  size_ = 0;
   counts_ = LedgerCounts{};
 }
 
 void TaskLedger::transition(tasks::TaskId id, TaskState from, TaskState to) {
-  const auto it = states_.find(id);
-  RTDS_CHECK_MSG(it != states_.end(), "TaskLedger: unknown task id");
-  if (it->second != from) {
+  const std::size_t i = find(id);
+  RTDS_CHECK_MSG(i != kAbsent, "TaskLedger: unknown task id");
+  Slot& slot = slots_[i];
+  if (slot.state != from) {
     std::ostringstream os;
-    os << "TaskLedger: task " << id << " is " << to_string(it->second)
+    os << "TaskLedger: task " << id << " is " << to_string(slot.state)
        << ", cannot move " << to_string(from) << " -> " << to_string(to);
     RTDS_CHECK_MSG(false, os.str());
   }
-  it->second = to;
+  slot.state = to;
+}
+
+std::size_t TaskLedger::slot_of(tasks::TaskId id) const {
+  // Fibonacci hashing: the top bits of id * 2^64/phi, so runs of
+  // consecutive or strided ids spread over the whole table.
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = static_cast<std::size_t>(
+      (std::uint64_t{id} * 0x9E3779B97F4A7C15ULL) >> shift_);
+  // At most half full, so the probe always reaches a vacant slot.
+  while (slots_[i].used && slots_[i].id != id) i = (i + 1) & mask;
+  return i;
+}
+
+std::size_t TaskLedger::find(tasks::TaskId id) const {
+  if (slots_.empty()) return kAbsent;
+  const std::size_t i = slot_of(id);
+  return slots_[i].used ? i : kAbsent;
+}
+
+void TaskLedger::grow() {
+  constexpr std::size_t kInitialSlots = 16;
+  std::vector<Slot> old = std::exchange(
+      slots_, std::vector<Slot>(slots_.empty() ? kInitialSlots
+                                               : 2 * slots_.size()));
+  shift_ = 64U - static_cast<unsigned>(std::countr_zero(slots_.size()));
+  for (const Slot& slot : old) {
+    if (slot.used) slots_[slot_of(slot.id)] = slot;
+  }
 }
 
 }  // namespace rtds::sched

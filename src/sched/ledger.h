@@ -27,11 +27,19 @@
 //
 // The ledger is host-thread-only: backends with worker threads buffer
 // outcomes internally and flush them after joining (see ThreadedBackend).
+//
+// It is also the pipeline's one duplicate-id check: arrive() throws for an
+// id already seen, at intake, before the task reaches the batch.
+//
+// Every transition looks its task up, so the id -> state map is one flat
+// open-addressed table (power-of-two capacity, linear probing, at most
+// half full, doubled on growth) rather than a node per task. A run never
+// forgets an id, so the table needs no erase and no tombstones.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "tasks/task.h"
 
@@ -104,21 +112,35 @@ class TaskLedger {
   [[nodiscard]] bool known(tasks::TaskId id) const;
   [[nodiscard]] TaskState state(tasks::TaskId id) const;
   [[nodiscard]] const LedgerCounts& counts() const { return counts_; }
-  [[nodiscard]] std::size_t size() const { return states_.size(); }
-  [[nodiscard]] const std::unordered_map<tasks::TaskId, TaskState>& states()
-      const {
-    return states_;
-  }
+  [[nodiscard]] std::size_t size() const { return size_; }
 
   /// Throws InvariantViolation unless counts().conserved().
   void check_conserved() const;
 
+  /// Forgets every task; keeps the table's capacity.
   void clear();
 
  private:
-  void transition(tasks::TaskId id, TaskState from, TaskState to);
+  struct Slot {
+    tasks::TaskId id{0};
+    TaskState state{TaskState::kArrived};
+    bool used{false};
+  };
 
-  std::unordered_map<tasks::TaskId, TaskState> states_;
+  static constexpr std::size_t kAbsent = ~std::size_t{0};
+
+  void transition(tasks::TaskId id, TaskState from, TaskState to);
+  /// Index of the slot holding `id`, or of the vacant slot where it would
+  /// go. Requires a non-empty table.
+  [[nodiscard]] std::size_t slot_of(tasks::TaskId id) const;
+  /// Index of the slot holding `id`, or kAbsent when the id never arrived.
+  [[nodiscard]] std::size_t find(tasks::TaskId id) const;
+  /// Doubles the table (16 slots at first) and re-inserts every entry.
+  void grow();
+
+  std::vector<Slot> slots_;  // power-of-two size, or empty
+  unsigned shift_{0};        // 64 - log2(slots_.size())
+  std::size_t size_{0};      // used slots
   LedgerCounts counts_;
 };
 

@@ -69,7 +69,9 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
   // Deliveries refused so far, per PENDING task: a task whose budget is
   // spent is retired as rejected instead of readmitted. Entries are erased
   // as tasks reach terminal states — under open arrivals this map would
-  // otherwise grow with every task ever refused, for the whole run.
+  // otherwise grow with every task ever refused, for the whole run. Only
+  // refused deliveries add entries, so a run without refusals (every DES
+  // run) never looks a task up here.
   std::unordered_map<tasks::TaskId, std::uint32_t> delivery_attempts;
   // Per-phase scratch, capacity retained across phases.
   std::vector<Task> arrived;
@@ -110,7 +112,9 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
     batch.cull_missed(t, culled_tasks);
     for (const Task& task : culled_tasks) {
       ledger.cull(task.id);
-      delivery_attempts.erase(task.id);  // culled == terminal
+      if (!delivery_attempts.empty()) {
+        delivery_attempts.erase(task.id);  // culled == terminal
+      }
     }
     metrics.culled += culled_tasks.size();
 
@@ -255,7 +259,9 @@ RunMetrics PhasePipeline::run_core(tasks::ArrivalSource& source,
         }
       }
       ledger.deliver(accepted.task.id);
-      delivery_attempts.erase(accepted.task.id);  // delivered == terminal
+      if (!delivery_attempts.empty()) {
+        delivery_attempts.erase(accepted.task.id);  // delivered == terminal
+      }
       if (stats != nullptr) {
         stats->schedule_latency.add(
             double((backend.now() - accepted.task.arrival).us));

@@ -6,28 +6,15 @@
 
 namespace rtds::tasks {
 
-std::size_t Batch::merge_arrivals(const std::vector<Task>& arrived) {
-  std::size_t merged = 0;
-  for (const Task& t : arrived) {
-    if (readmit(t)) ++merged;
-  }
-  return merged;
-}
-
-bool Batch::readmit(const Task& task) {
-  if (!ids_.insert(task.id).second) return false;  // already pending
-  tasks_.push_back(task);
-  return true;
+void Batch::merge_arrivals(const std::vector<Task>& arrived) {
+  tasks_.insert(tasks_.end(), arrived.begin(), arrived.end());
 }
 
 template <typename Drop>
 void Batch::compact(Drop drop) {
   std::size_t keep = 0;
   for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    if (drop(tasks_[i], i)) {
-      ids_.erase(tasks_[i].id);
-      continue;
-    }
+    if (drop(tasks_[i], i)) continue;
     if (keep != i) tasks_[keep] = std::move(tasks_[i]);
     ++keep;
   }
@@ -56,12 +43,6 @@ SimDuration Batch::min_slack(SimTime t) const {
     best = min_duration(best, task.slack_at(t));
   }
   return best;
-}
-
-SimDuration Batch::total_processing() const {
-  SimDuration total = SimDuration::zero();
-  for (const Task& task : tasks_) total += task.processing;
-  return total;
 }
 
 }  // namespace rtds::tasks

@@ -13,11 +13,15 @@
 // engine relies on this for speed, not for correctness: it carries the
 // consideration order from one phase to the next and sorts only the tasks
 // past the carried ones (search/engine.cc).
+//
+// Duplicate ids: the batch does not look for them. The pipeline's
+// TaskLedger::arrive throws InvariantViolation for an id offered twice, at
+// intake, before the batch changes (sched/ledger.h); code that fills a
+// Batch by hand keeps ids unique itself.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "common/time.h"
@@ -37,16 +41,8 @@ class Batch {
   [[nodiscard]] std::size_t size() const { return tasks_.size(); }
   [[nodiscard]] const std::vector<Task>& tasks() const { return tasks_; }
 
-  /// Appends newly arrived tasks. An id already pending is skipped instead
-  /// of aborting the host — a readmitted task may race a same-id arrival.
-  /// Returns the number of tasks actually merged.
-  std::size_t merge_arrivals(const std::vector<Task>& arrived);
-
-  /// Returns a task to the batch after its delivery was refused (the
-  /// readmission path of the overload-robustness layer). No-op returning
-  /// false when the id is already pending — which is the common case, since
-  /// the pipeline only retires tasks the backend actually accepted.
-  bool readmit(const Task& task);
+  /// Appends newly arrived tasks, in order.
+  void merge_arrivals(const std::vector<Task>& arrived);
 
   /// Removes the tasks that left the pipeline in the phase that just
   /// ended, by batch position: `marked` holds one flag per task in batch
@@ -71,13 +67,7 @@ class Batch {
   /// Requires a non-empty batch.
   [[nodiscard]] SimDuration min_slack(SimTime t) const;
 
-  /// Total processing demand of the batch (used by ablation benches).
-  [[nodiscard]] SimDuration total_processing() const;
-
-  void clear() {
-    tasks_.clear();
-    ids_.clear();
-  }
+  void clear() { tasks_.clear(); }
 
  private:
   /// Keeps the tasks for which drop(task, position) is false, in order.
@@ -85,7 +75,6 @@ class Batch {
   void compact(Drop drop);
 
   std::vector<Task> tasks_;
-  std::unordered_set<TaskId> ids_;  // duplicate detection
 };
 
 }  // namespace rtds::tasks

@@ -37,7 +37,8 @@ bool terminal(TaskState s) {
 }
 
 void expect_conserved(const RunMetrics& m, const TaskLedger& ledger,
-                      std::size_t workload_size) {
+                      const std::vector<tasks::Task>& workload) {
+  const std::size_t workload_size = workload.size();
   EXPECT_EQ(m.total_tasks, workload_size);
   EXPECT_EQ(m.deadline_hits + m.exec_misses + m.culled + m.rejected,
             m.total_tasks);
@@ -50,9 +51,11 @@ void expect_conserved(const RunMetrics& m, const TaskLedger& ledger,
   EXPECT_EQ(c.culled, m.culled);
   EXPECT_EQ(c.rejected, m.rejected);
   EXPECT_EQ(ledger.size(), workload_size);
-  for (const auto& [id, state] : ledger.states()) {
+  for (const tasks::Task& task : workload) {
+    ASSERT_TRUE(ledger.known(task.id)) << "task " << task.id << " never arrived";
+    const TaskState state = ledger.state(task.id);
     EXPECT_TRUE(terminal(state))
-        << "task " << id << " left in state " << sched::to_string(state);
+        << "task " << task.id << " left in state " << sched::to_string(state);
   }
 }
 
@@ -88,7 +91,7 @@ TEST(ConservationTest, SimBackendConservesOnRandomWorkloads) {
     sched::SimBackend backend(cluster, sim);
     TaskLedger ledger;
     const RunMetrics m = pipeline.run(wl, backend, nullptr, &ledger);
-    expect_conserved(m, ledger, wl.size());
+    expect_conserved(m, ledger, wl);
     EXPECT_EQ(m.overflow_drops, 0u);  // DES queues are unbounded
     EXPECT_EQ(m.rejected, 0u);
   }
@@ -129,7 +132,7 @@ TEST(ConservationTest, ThreadedBackendConservesOnRandomWorkloads) {
     runtime::ThreadedBackend backend(cfg);
     TaskLedger ledger;
     const RunMetrics m = pipeline.run(wl, backend, nullptr, &ledger);
-    expect_conserved(m, ledger, wl.size());
+    expect_conserved(m, ledger, wl);
   }
 }
 
@@ -164,7 +167,7 @@ TEST(ConservationTest, FloodedTinyMailboxLosesNoTask) {
   EXPECT_GT(m.overflow_drops, 0u);  // the overload genuinely happened
   EXPECT_GT(m.readmissions, 0u);
   EXPECT_GT(m.backpressure_waits, 0u);
-  expect_conserved(m, ledger, wl.size());
+  expect_conserved(m, ledger, wl);
   // With two-minute deadlines nothing should have been lost to the flood:
   // every task was eventually executed.
   EXPECT_EQ(m.scheduled, m.total_tasks);
@@ -201,7 +204,7 @@ TEST(ConservationTest, BoundedAttemptsRejectInsteadOfLosing) {
   const RunMetrics m = pipeline.run(wl, backend, nullptr, &ledger);
 
   EXPECT_GT(m.rejected, 0u);
-  expect_conserved(m, ledger, wl.size());
+  expect_conserved(m, ledger, wl);
   EXPECT_EQ(ledger.counts().rejected, m.rejected);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "common/error.h"
 
 namespace rtds::sched {
@@ -87,6 +89,77 @@ TEST(TaskLedgerTest, ClearResets) {
   EXPECT_FALSE(ledger.known(1));
   EXPECT_EQ(ledger.counts().total, 0u);
   EXPECT_TRUE(ledger.counts().conserved());  // vacuously
+}
+
+TEST(TaskLedgerTest, ExtremeIdsAreOrdinaryKeys) {
+  TaskLedger ledger;
+  EXPECT_FALSE(ledger.known(0));
+  ledger.arrive(0);
+  ledger.arrive(0xFFFFFFFFu);
+  EXPECT_TRUE(ledger.known(0));
+  EXPECT_TRUE(ledger.known(0xFFFFFFFFu));
+  EXPECT_FALSE(ledger.known(1));
+  ledger.admit(0xFFFFFFFFu);
+  EXPECT_EQ(ledger.state(0), TaskState::kArrived);
+  EXPECT_EQ(ledger.state(0xFFFFFFFFu), TaskState::kBatched);
+  EXPECT_EQ(ledger.size(), 2u);
+}
+
+TEST(TaskLedgerTest, StatesSurviveManyGrowths) {
+  // 10^5 ids, some consecutive and some strided by a power of two, take
+  // the table from 16 slots through many doublings. Every state must be
+  // where it was left.
+  constexpr std::uint32_t kTasks = 100000;
+  const auto id_of = [](std::uint32_t i) {
+    return i % 2 == 0 ? i : (i << 12) | 1u;
+  };
+  TaskLedger ledger;
+  for (std::uint32_t i = 0; i < kTasks; ++i) {
+    const tasks::TaskId id = id_of(i);
+    ledger.arrive(id);
+    switch (i % 4) {
+      case 0: break;
+      case 1: ledger.admit(id); break;
+      case 2: ledger.admit(id); ledger.schedule(id); break;
+      case 3: ledger.admit(id); ledger.cull(id); break;
+    }
+  }
+  EXPECT_EQ(ledger.size(), kTasks);
+  EXPECT_EQ(ledger.counts().total, kTasks);
+  EXPECT_EQ(ledger.counts().culled, kTasks / 4);
+  constexpr TaskState kExpected[] = {TaskState::kArrived, TaskState::kBatched,
+                                     TaskState::kScheduled, TaskState::kCulled};
+  for (std::uint32_t i = 0; i < kTasks; ++i) {
+    ASSERT_EQ(ledger.state(id_of(i)), kExpected[i % 4]) << "index " << i;
+  }
+  EXPECT_FALSE(ledger.known(3));  // odd ids below 4096 never arrived
+}
+
+TEST(TaskLedgerTest, DuplicateArriveThrowsAndChangesNothing) {
+  TaskLedger ledger;
+  ledger.arrive(5);
+  ledger.admit(5);
+  EXPECT_THROW(ledger.arrive(5), InvariantViolation);
+  EXPECT_EQ(ledger.state(5), TaskState::kBatched);
+  EXPECT_EQ(ledger.size(), 1u);
+  EXPECT_EQ(ledger.counts().total, 1u);
+  EXPECT_EQ(ledger.counts().in_flight, 1u);
+}
+
+TEST(TaskLedgerTest, TransitionOnUnknownIdThrows) {
+  TaskLedger empty;  // no table yet
+  EXPECT_THROW(empty.admit(1), InvariantViolation);
+  EXPECT_THROW(static_cast<void>(empty.state(1)), InvariantViolation);
+  TaskLedger ledger;
+  for (tasks::TaskId id = 0; id < 100; ++id) ledger.arrive(id);
+  EXPECT_THROW(ledger.admit(100), InvariantViolation);
+  EXPECT_THROW(ledger.schedule(1000), InvariantViolation);
+  EXPECT_THROW(ledger.deliver(0xFFFFFFFFu), InvariantViolation);
+  EXPECT_THROW(ledger.cull(12345), InvariantViolation);
+  EXPECT_THROW(ledger.reject_admission(101), InvariantViolation);
+  EXPECT_THROW(ledger.execute(102, true), InvariantViolation);
+  EXPECT_THROW(static_cast<void>(ledger.state(100)), InvariantViolation);
+  EXPECT_EQ(ledger.size(), 100u);
 }
 
 TEST(TaskLedgerTest, StateNamesAreStable) {

@@ -5,7 +5,9 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "sched/backend.h"
+#include "sched/ledger.h"
 #include "sched/registry.h"
+#include "tasks/arrival_source.h"
 #include "tasks/workload.h"
 
 namespace rtds::sched {
@@ -251,6 +253,32 @@ TEST(PhaseSchedulerTest, HitRatioBetweenZeroAndOne) {
   EXPECT_GE(m.hit_ratio(), 0.0);
   EXPECT_LE(m.hit_ratio(), 1.0);
   EXPECT_EQ(m.misses() + m.deadline_hits, m.total_tasks);
+}
+
+TEST(PhaseSchedulerTest, DuplicateTaskIdThrowsAtIntake) {
+  // The ledger is the one duplicate-id check: a source that offers an id
+  // twice, in the same phase or a later one, stops the run at intake.
+  // VectorArrivalSource checks only the arrival order, not the ids.
+  const auto algo = AlgorithmRegistry::builtin().make("rt_sads");
+  const auto q = make_self_adjusting_quantum(usec(100), msec(10));
+  const PhasePipeline pipeline(*algo, *q);
+  for (const SimDuration second : {SimDuration::zero(), msec(20)}) {
+    Fixture f(2);
+    tasks::VectorArrivalSource source(
+        {make_task(7, SimTime::zero(), msec(1), SimTime::zero() + msec(50),
+                   AffinitySet::single(0)),
+         make_task(7, SimTime::zero() + second, msec(1),
+                   SimTime::zero() + msec(90), AffinitySet::single(1))});
+    TaskLedger ledger;
+    EXPECT_THROW(static_cast<void>(pipeline.run_stream(
+                     source, f.backend, StreamOptions{}, nullptr, nullptr,
+                     &ledger)),
+                 InvariantViolation)
+        << "second arrival at +" << second.us << "us";
+    // The duplicate was never counted, so it never reached the batch.
+    EXPECT_EQ(ledger.counts().total, 1u);
+    EXPECT_EQ(ledger.size(), 1u);
+  }
 }
 
 }  // namespace

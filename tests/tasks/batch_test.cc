@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "common/error.h"
@@ -38,36 +37,17 @@ TEST(BatchTest, MergePreservesOrder) {
   EXPECT_EQ(b.tasks()[2].id, 3u);
 }
 
-TEST(BatchTest, MergeSkipsDuplicateIdsInsteadOfAborting) {
-  // A readmitted task racing a same-id arrival must not crash the host:
-  // the duplicate is skipped and the pending copy wins.
-  Batch b;
-  EXPECT_EQ(b.merge_arrivals({make_task(1, msec(1), SimTime{100000})}), 1u);
-  EXPECT_EQ(b.merge_arrivals({make_task(1, msec(9), SimTime{100000})}), 0u);
-  ASSERT_EQ(b.size(), 1u);
-  EXPECT_EQ(b.tasks()[0].processing, msec(1));  // first copy kept
-}
-
-TEST(BatchTest, ReadmitInsertsOnlyWhenAbsent) {
-  Batch b;
-  const Task t = make_task(5, msec(2), SimTime{100000});
-  EXPECT_TRUE(b.readmit(t));    // not pending: inserted
-  EXPECT_FALSE(b.readmit(t));   // already pending: no-op
-  EXPECT_EQ(b.size(), 1u);
-  b.remove_marked({1});
-  EXPECT_TRUE(b.readmit(t));    // removed, so readmission re-inserts
-  EXPECT_EQ(b.size(), 1u);
-}
-
 TEST(BatchTest, ReadmittedTaskKeepsBatchOrder) {
+  // The pipeline readmits a refused task by leaving its position unmarked:
+  // it keeps its place, ahead of every later arrival.
   Batch b;
   b.merge_arrivals({make_task(1, msec(1), SimTime{100000}),
                     make_task(2, msec(1), SimTime{100000})});
-  b.remove_marked({1, 0});
-  EXPECT_TRUE(b.readmit(make_task(1, msec(1), SimTime{100000})));
+  b.remove_marked({0, 1});  // 1 refused (readmitted), 2 delivered
+  b.merge_arrivals({make_task(3, msec(1), SimTime{100000})});
   ASSERT_EQ(b.size(), 2u);
-  EXPECT_EQ(b.tasks()[0].id, 2u);  // readmission appends
-  EXPECT_EQ(b.tasks()[1].id, 1u);
+  EXPECT_EQ(b.tasks()[0].id, 1u);
+  EXPECT_EQ(b.tasks()[1].id, 3u);  // arrivals append
 }
 
 TEST(BatchTest, RemoveScheduledDropsOnlyListed) {
@@ -83,25 +63,9 @@ TEST(BatchTest, RemoveScheduledDropsOnlyListed) {
   EXPECT_EQ(b.size(), 1u);
 }
 
-TEST(BatchTest, RemoveScheduledUnregistersExactlyTheRemovedIds) {
-  // Regression: the id index used to be updated from the remove_if tail
-  // range, which holds shifted copies of the KEPT elements — so removing
-  // {1,3} from [1,2,3] unregistered 2 and 3 and left a ghost id 1 that
-  // blocked readmission forever.
-  Batch b;
-  b.merge_arrivals({make_task(1, msec(1), SimTime{100000}),
-                    make_task(2, msec(1), SimTime{100000}),
-                    make_task(3, msec(1), SimTime{100000})});
-  b.remove_marked({1, 0, 1});
-  EXPECT_FALSE(b.readmit(make_task(2, msec(1), SimTime{100000})));  // pending
-  EXPECT_TRUE(b.readmit(make_task(1, msec(1), SimTime{100000})));
-  EXPECT_TRUE(b.readmit(make_task(3, msec(1), SimTime{100000})));
-  EXPECT_EQ(b.size(), 3u);
-}
-
 TEST(BatchTest, RemovedIdsCanReappearAsNewTasks) {
-  // After a task leaves the batch its id is free again (the driver never
-  // reuses ids, but the container must not keep ghosts).
+  // The batch keeps no id index, so a removed id leaves nothing behind
+  // (the pipeline's ledger is what rejects a reused id).
   Batch b;
   b.merge_arrivals({make_task(1, msec(1), SimTime{100000})});
   b.remove_marked({1});
@@ -149,13 +113,6 @@ TEST(BatchTest, MinSlackFindsTightestTask) {
   EXPECT_EQ(b.min_slack(SimTime::zero() + msec(2)), msec(2));
 }
 
-TEST(BatchTest, TotalProcessingSums) {
-  Batch b;
-  b.merge_arrivals({make_task(1, msec(2), SimTime{1000000}),
-                    make_task(2, msec(3), SimTime{1000000})});
-  EXPECT_EQ(b.total_processing(), msec(5));
-}
-
 TEST(BatchTest, ClearEmptiesEverything) {
   Batch b;
   b.merge_arrivals({make_task(1, msec(2), SimTime{1000000})});
@@ -164,48 +121,26 @@ TEST(BatchTest, ClearEmptiesEverything) {
 }
 
 TEST(BatchTest, ReadmitAfterPartialDelivery) {
-  // A phase schedules {1,2,3}, the backend accepts only {1,3}: the pipeline
-  // removes all three as scheduled, then readmits the refused task 2. The
-  // batch must end with exactly the refused task pending, once.
+  // A phase schedules {1,2,3} and the backend accepts only {1,3}: the
+  // pipeline marks the accepted positions, so the batch ends with exactly
+  // the refused task pending, once.
   Batch b;
   const Task t1 = make_task(1, msec(1), SimTime{1000000});
   const Task t2 = make_task(2, msec(2), SimTime{1000000});
   const Task t3 = make_task(3, msec(3), SimTime{1000000});
   b.merge_arrivals({t1, t2, t3});
-  b.remove_marked({1, 1, 1});
-  EXPECT_TRUE(b.empty());
-  EXPECT_TRUE(b.readmit(t2));
+  b.remove_marked({1, 0, 1});
   ASSERT_EQ(b.size(), 1u);
   EXPECT_EQ(b.tasks()[0].id, 2u);
-  // A second refusal of the same task in a later phase is a no-op while the
-  // first readmission is still pending.
-  EXPECT_FALSE(b.readmit(t2));
+  EXPECT_EQ(b.tasks()[0].processing, msec(2));
+  // Refused again in a later phase: still pending, still once.
+  b.remove_marked({0});
   EXPECT_EQ(b.size(), 1u);
-}
-
-TEST(BatchTest, ReadmittedTaskMergesWithDuplicateIdArrival) {
-  // The readmitted copy is already pending when an arrival with the same id
-  // shows up: the merge must skip the duplicate (pending copy wins) and
-  // report 1 merged task, and the id index must stay consistent — after the
-  // pending copy is scheduled away, the id is admissible again.
-  Batch b;
-  const Task refused = make_task(7, msec(2), SimTime{1000000});
-  EXPECT_TRUE(b.readmit(refused));
-  const Task same_id = make_task(7, msec(9), SimTime{2000000});
-  const Task fresh = make_task(8, msec(1), SimTime{2000000});
-  EXPECT_EQ(b.merge_arrivals({same_id, fresh}), 1u);
-  ASSERT_EQ(b.size(), 2u);
-  EXPECT_EQ(b.tasks()[0].id, 7u);
-  EXPECT_EQ(b.tasks()[0].processing, msec(2));  // the readmitted copy won
-  b.remove_marked({1, 0});
-  EXPECT_EQ(b.size(), 1u);
-  EXPECT_TRUE(b.readmit(refused));
-  EXPECT_EQ(b.size(), 2u);
 }
 
 TEST(BatchTest, RemoveScheduledReadmitInterleaving) {
   // Several rounds of schedule-everything / readmit-the-refused must keep
-  // the task set and the duplicate-detection index in lockstep.
+  // exactly the refused tasks, in their batch order.
   Batch b;
   std::vector<Task> all;
   for (TaskId id = 0; id < 6; ++id) {
@@ -213,36 +148,36 @@ TEST(BatchTest, RemoveScheduledReadmitInterleaving) {
   }
   b.merge_arrivals(all);
   for (int round = 0; round < 4; ++round) {
-    // Schedule the whole batch...
-    std::unordered_set<TaskId> scheduled;
-    for (const Task& t : b.tasks()) scheduled.insert(t.id);
-    b.remove_marked(std::vector<std::uint8_t>(b.size(), 1));
-    EXPECT_TRUE(b.empty());
-    // ...and readmit every other task, as a partial refusal would.
-    std::size_t readmitted = 0;
-    for (const Task& t : all) {
-      if ((t.id + std::uint64_t(round)) % 2 == 0 && scheduled.count(t.id)) {
-        EXPECT_TRUE(b.readmit(t));
-        ++readmitted;
-      }
+    // Schedule the whole batch; every other task is refused and stays.
+    std::vector<std::uint8_t> delivered;
+    std::vector<TaskId> refused;
+    for (const Task& t : b.tasks()) {
+      const bool stays = (t.id + std::uint64_t(round)) % 2 == 0;
+      delivered.push_back(stays ? 0 : 1);
+      if (stays) refused.push_back(t.id);
     }
-    EXPECT_EQ(b.size(), readmitted);
-    all.assign(b.tasks().begin(), b.tasks().end());
+    b.remove_marked(delivered);
+    ASSERT_EQ(b.size(), refused.size());
+    for (std::size_t i = 0; i < refused.size(); ++i) {
+      EXPECT_EQ(b.tasks()[i].id, refused[i]);
+    }
   }
 }
 
 TEST(BatchTest, RemoveScheduledIgnoresAbsentIds) {
   Batch b;
   b.merge_arrivals({make_task(1, msec(1), SimTime{1000000})});
-  b.remove_marked({1});  // 99 was culled elsewhere: never pending here
+  b.remove_marked({1});
   EXPECT_TRUE(b.empty());
-  // And the absent id did not poison the index.
-  EXPECT_TRUE(b.readmit(make_task(99, msec(1), SimTime{1000000})));
+  // An id that was never pending merges like any other.
+  b.merge_arrivals({make_task(99, msec(1), SimTime{1000000})});
+  ASSERT_EQ(b.size(), 1u);
+  EXPECT_EQ(b.tasks()[0].id, 99u);
 }
 
 TEST(BatchTest, CullMissedCompactsInOrderAndReleasesIds) {
   // Culled tasks come back in batch order, survivors keep theirs, and the
-  // culled ids are unregistered, so readmit() re-inserts them.
+  // culled ids can be merged again.
   Batch b;
   const SimTime t0 = SimTime::zero();
   b.merge_arrivals({make_task(1, msec(5), t0 + msec(2)),     // culled
@@ -259,10 +194,9 @@ TEST(BatchTest, CullMissedCompactsInOrderAndReleasesIds) {
   ASSERT_EQ(b.size(), 2u);
   EXPECT_EQ(b.tasks()[0].id, 2u);
   EXPECT_EQ(b.tasks()[1].id, 4u);
-  EXPECT_FALSE(b.readmit(make_task(2, msec(1), t0 + msec(50))));  // pending
-  for (const Task& t : culled) EXPECT_TRUE(b.readmit(t));
+  b.merge_arrivals(culled);  // culled ids are not held back
   ASSERT_EQ(b.size(), 5u);
-  EXPECT_EQ(b.tasks()[2].id, 1u);  // readmission appends
+  EXPECT_EQ(b.tasks()[2].id, 1u);  // merging appends
 }
 
 TEST(BatchTest, RemoveMarkedRequiresOneFlagPerTask) {

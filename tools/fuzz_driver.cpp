@@ -18,13 +18,17 @@
 // On the first oracle violation it shrinks the scenario to a minimal
 // still-failing repro, prints both replay tokens, optionally writes them to
 // <artifact-dir>/failing_tokens.txt (uploaded by CI), and exits 1.
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
+#include <system_error>
+#include <type_traits>
 
 #include "sched/registry.h"
 #include "testing/harness.h"
@@ -60,29 +64,53 @@ void usage(std::ostream& os) {
         "       rtds_fuzz --list-algos\n";
 }
 
+/// Parses all of `text` into `out`, as rtds_cli does: integers in decimal
+/// or with a 0x prefix in hex, floating point in decimal. False for an
+/// empty string, a stray character, overflow or a non-finite value.
+template <typename T>
+bool parse_number(std::string_view text, T& out) {
+  std::from_chars_result r{};
+  if constexpr (std::is_floating_point_v<T>) {
+    r = std::from_chars(text.data(), text.data() + text.size(), out);
+  } else if (text.starts_with("0x") || text.starts_with("0X")) {
+    text.remove_prefix(2);
+    r = std::from_chars(text.data(), text.data() + text.size(), out, 16);
+  } else {
+    r = std::from_chars(text.data(), text.data() + text.size(), out);
+  }
+  return !text.empty() && r.ec == std::errc{} &&
+         r.ptr == text.data() + text.size() && std::isfinite(double(out));
+}
+
 bool parse_args(int argc, char** argv, Args& args) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // A numeric flag whose value is missing or does not parse whole gets
+    // the usage text; so does a sweep of zero scenarios (it would pass
+    // vacuously) and a time scale the threaded backend cannot run.
+    const auto bad = [&](const char* v) {
+      std::cerr << "rtds_fuzz: bad " << a << " value '" << (v ? v : "")
+                << "'\n";
+      return false;
+    };
     if (a == "--scenarios") {
       const char* v = next();
-      if (!v) return false;
-      args.scenarios = std::strtoull(v, nullptr, 0);
+      if (!v || !parse_number(v, args.scenarios) || args.scenarios == 0) {
+        return bad(v);
+      }
     } else if (a == "--seed") {
       const char* v = next();
-      if (!v) return false;
-      args.seed = std::strtoull(v, nullptr, 0);
+      if (!v || !parse_number(v, args.seed)) return bad(v);
     } else if (a == "--shrink-budget") {
       const char* v = next();
-      if (!v) return false;
-      args.shrink_budget =
-          static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
+      if (!v || !parse_number(v, args.shrink_budget)) return bad(v);
     } else if (a == "--time-scale") {
       const char* v = next();
-      if (!v) return false;
-      args.harness.threaded_time_scale = std::strtod(v, nullptr);
+      double& scale = args.harness.threaded_time_scale;
+      if (!v || !parse_number(v, scale) || !(scale > 0.0)) return bad(v);
     } else if (a == "--no-threaded") {
       args.harness.run_threaded = false;
     } else if (a == "--replay") {
